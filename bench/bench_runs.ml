@@ -884,8 +884,22 @@ let sfi ?(json_dir = ".") ?(packets = 48) () =
    verdicts, the requests completed, and containment of the rogue
    store. *)
 
+(* The matrix rows: the two hosting backends, and the two SFI modes as
+   comparators that rewrite a kernel module instead of hosting an
+   application. *)
+type bk_comparator = Host of Pbackend.kind | Sfi_mode of Sfi.mode
+
+let bk_comparators =
+  [ Host Pbackend.Segmentation; Host Pbackend.Mpk; Sfi_mode Sfi.Full;
+    Sfi_mode Sfi.Verified ]
+
+let bk_name = function
+  | Host k -> Pbackend.kind_name k
+  | Sfi_mode Sfi.Full -> "sfi-full"
+  | Sfi_mode Sfi.Verified -> "sfi-verified"
+
 type bk_row = {
-  bk_kind : Pbackend.kind;
+  bk_kind : bk_comparator;
   bk_xfer_cycles : float; (* mean protected null-call cycles *)
   bk_strrev : string;
   bk_filter_cycles : float; (* mean cycles per packet *)
@@ -1029,7 +1043,7 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
   in
   let row =
     {
-      (bk_empty kind) with
+      (bk_empty (Host kind)) with
       bk_xfer_cycles = float_of_int !cyc /. float_of_int calls;
       bk_strrev = reversed;
       bk_filter_cycles =
@@ -1047,9 +1061,8 @@ let bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind =
    has no transfer gate — its tax is the inline guards — so the
    "transfer" is a bare module invocation, and containment comes from
    address masking rather than a fault. *)
-let bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests kind =
+let bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests mode =
   let since = Obs.Counters.snapshot () in
-  let mode = if kind = Pbackend.Sfi_verified then Sfi.Verified else Sfi.Full in
   let w = Palladium.boot () in
   let kernel = Palladium.kernel w in
   let task = Kernel.create_task kernel ~name:"bk" in
@@ -1124,7 +1137,7 @@ let bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests kind =
   in
   let row =
     {
-      (bk_empty kind) with
+      (bk_empty (Sfi_mode mode)) with
       bk_xfer_cycles = float_of_int !cyc /. float_of_int calls;
       bk_strrev = reversed;
       bk_filter_cycles =
@@ -1151,13 +1164,12 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
   let hist = Obs.Histogram.create () in
   let rows =
     List.map
-      (fun kind ->
-        match kind with
-        | Pbackend.Segmentation | Pbackend.Mpk ->
+      (function
+        | Host kind ->
             bk_app_row ~hist ~stream ~filter_image ~calls ~requests kind
-        | Pbackend.Sfi_full | Pbackend.Sfi_verified ->
-            bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests kind)
-      Pbackend.all
+        | Sfi_mode mode ->
+            bk_sfi_row ~hist ~stream ~filter_image ~terms ~calls ~requests mode)
+      bk_comparators
   in
   let base = List.hd rows in
   let agree =
@@ -1169,7 +1181,7 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
         && r.bk_contained)
       rows
   in
-  let find k = List.find (fun r -> r.bk_kind = k) rows in
+  let find k = List.find (fun r -> r.bk_kind = Host k) rows in
   let mpk_cheaper =
     (find Pbackend.Mpk).bk_xfer_cycles
     < (find Pbackend.Segmentation).bk_xfer_cycles
@@ -1186,7 +1198,7 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
     (List.map
        (fun r ->
          [
-           Pbackend.kind_name r.bk_kind;
+           bk_name r.bk_kind;
            Printf.sprintf "%.1f" r.bk_xfer_cycles;
            Printf.sprintf "%.1f" r.bk_filter_cycles;
            Printf.sprintf "%.0f" r.bk_rps;
@@ -1211,7 +1223,7 @@ let backends ?(json_dir = ".") ?(packets = 32) ?(calls = 60) ?(requests = 300)
   let row_json r =
     Obj
       [
-        ("backend", String (Pbackend.kind_name r.bk_kind));
+        ("backend", String (bk_name r.bk_kind));
         ("transfer_cycles", Float r.bk_xfer_cycles);
         ("strrev", String r.bk_strrev);
         ("filter_cycles_per_packet", Float r.bk_filter_cycles);
@@ -1806,7 +1818,7 @@ let fleet_world ~calls ~requests i =
   (calls, stats.Server.requests)
 
 type parallel_outcome = {
-  par_domains : int;
+  par_domains : int; (* used: the fleet clamps to the host's cores *)
   par_worlds : int;
   par_serial_sec : float;
   par_parallel_sec : float;
@@ -1841,8 +1853,9 @@ let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
   Table.print
     ~title:
       (Printf.sprintf
-         "Fleet: %d isolated worlds, serial vs %d domains (%d cores)" worlds
-         domains
+         "Fleet: %d isolated worlds, serial vs %d domains (%d requested, %d \
+          cores)"
+         worlds par.Fleet.f_domains domains
          (Domain.recommended_domain_count ()))
     ~headers:[ "World"; "Calls"; "Requests"; "Elapsed (s)" ]
     (List.map
@@ -1863,7 +1876,7 @@ let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
             (List.map (fun (w, d) -> Printf.sprintf "world %d (%s)" w d) div));
   let outcome =
     {
-      par_domains = domains;
+      par_domains = par.Fleet.f_domains;
       par_worlds = worlds;
       par_serial_sec = Fleet.elapsed serial;
       par_parallel_sec = Fleet.elapsed par;
@@ -1886,7 +1899,8 @@ let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
       emit ~json_dir ~name:"parallel" ~since:[]
         ~histogram:("fleet_request_usec", h_req)
         [
-          ("domains", Int domains);
+          ("domains_requested", Int domains);
+          ("domains", Int par.Fleet.f_domains);
           ("worlds", Int worlds);
           ("cores", Int (Domain.recommended_domain_count ()));
           ( "engine",
@@ -2365,7 +2379,8 @@ let timeline ?(json_dir = ".") ?(domains = 2) ?worlds ?(batches = 8)
       emit ~json_dir ~name:"timeline" ~since:[]
         ~histogram:("fleet_call_cycles", h_call)
         [
-          ("domains", Int domains);
+          ("domains_requested", Int domains);
+          ("domains", Int par.Fleet.f_domains);
           ("worlds", Int worlds);
           ("batches", Int batches);
           ("calls_per_batch", Int calls);
@@ -2401,6 +2416,25 @@ let subcommands =
     "backends"; "audit"; "fastpath"; "parallel"; "timeline"; "wcet";
   ]
 
+(* Host-time floors of the parallel and fastpath subcommands.  A
+   wall-clock ratio only means something on an idle host with a core
+   per domain and a release build, so these are not tier-1 tests: the
+   subcommand runs three times and exits 1 when the median ratio is
+   below the floor. *)
+let gate_runs = 3
+
+let median xs = List.nth (List.sort compare xs) (List.length xs / 2)
+
+let check_floor ~what ~floor ratios =
+  let m = median ratios in
+  Printf.printf "%s: median of %d runs %.2fx (floor %.1fx)\n%!" what
+    (List.length ratios) m floor;
+  if m < floor then begin
+    Printf.eprintf "bench: %s median %.2fx below the %.1fx floor\n%!" what m
+      floor;
+    exit 1
+  end
+
 (* Run the requested subset (everything when [args] is empty; bechamel
    only when asked for by name, as in the original CLI). *)
 let run_main args =
@@ -2417,7 +2451,9 @@ let run_main args =
   if want "sfi" then sfi ();
   if want "backends" then backends ();
   if want "audit" then audit ();
-  if want "fastpath" then ignore (fastpath ());
+  if want "fastpath" then
+    check_floor ~what:"fastpath protected-call block-engine speedup" ~floor:3.0
+      (List.init gate_runs (fun _ -> fp_speedup (fastpath ()).fp_protected));
   (* parallel spawns domains, so — like bechamel — it only runs when
      asked for by name; `--domains N` / `--worlds N` tune the fleet. *)
   let rec flag name = function
@@ -2432,12 +2468,17 @@ let run_main args =
          ?seed:(flag "--seed" args)
          ());
   if want "wcet" then ignore (wcet ?packets:(flag "--packets" args) ());
-  if List.mem "parallel" args then
-    ignore
-      (parallel
-         ?domains:(flag "--domains" args)
-         ?worlds:(flag "--worlds" args)
-         ());
+  if List.mem "parallel" args then begin
+    let runs =
+      List.init gate_runs (fun _ ->
+          parallel ?domains:(flag "--domains" args)
+            ?worlds:(flag "--worlds" args) ())
+    in
+    (* a speedup needs at least two cores to run on *)
+    if (List.hd runs).par_domains >= 2 then
+      check_floor ~what:"parallel fleet speedup" ~floor:1.3
+        (List.map (fun o -> o.par_speedup) runs)
+  end;
   (* timeline also spawns domains: named-only, same flags *)
   if List.mem "timeline" args then
     ignore

@@ -23,8 +23,12 @@ type error = Out_of_bounds of X86.Fault.t
 (* Create a guarded region of [size] bytes inside the application.
    The descriptor install is a kernel-side operation (descriptor
    tables are only writable at ring 0); the paper envisions it behind
-   a system call, here the kernel performs it directly. *)
+   a system call, here the kernel performs it directly.  The DPL 2
+   guard segment is only loadable from the SPL 2 a segmentation
+   application is promoted to. *)
 let create (app : User_ext.t) ~size =
+  if User_ext.backend_of app <> User_ext.Segmentation then
+    invalid_arg "Guard.create: guard segments need the segmentation boundary";
   let task = User_ext.task app in
   let area =
     Address_space.mmap task.Task.asp

@@ -9,7 +9,9 @@ type error = Out_of_bounds of X86.Fault.t
 
 val create : User_ext.t -> size:int -> t
 (** Allocate a guarded region inside the application and install its
-    bounding LDT descriptor. *)
+    bounding LDT descriptor.
+    @raise Invalid_argument under the keys boundary, whose ring 3
+    application cannot load the DPL 2 guard segment. *)
 
 val base : t -> int
 (** Linear address of the guarded region. *)

@@ -1,6 +1,7 @@
 (* Facade tying the Palladium pieces together: boot a simulated
    machine with the Palladium-modified kernel, then create extensible
-   applications (user-level mechanism) and kernel extension segments
+   applications (user-level mechanism, behind a segmentation or a
+   protection-key boundary) and kernel extension segments
    (kernel-level mechanism).
 
    See {!User_ext} and {!Kernel_ext} for the two mechanisms,
@@ -58,11 +59,15 @@ let cpu w = Kernel.cpu w.kernel
    SPL 3 extensions. *)
 let create_app w ~name = User_ext.create w.kernel ~name
 
-(* The world's effective protection backend, and a backend-generic
-   application under it (segmentation or protection keys). *)
+(* The world's effective protection backend, and an application
+   behind its boundary (segmentation or protection keys). *)
 let backend w = Pbackend.effective w.kernel
 
-let create_backend_app ?backend w ~name = Pbackend.create ?backend w.kernel ~name
+let create_backend_app ?backend w ~name =
+  let backend =
+    match backend with Some b -> b | None -> Pbackend.effective w.kernel
+  in
+  User_ext.create ~backend w.kernel ~name
 
 (* A plain (non-Palladium) process at SPL 3. *)
 let create_plain_process w ~name =

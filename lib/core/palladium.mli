@@ -1,8 +1,9 @@
 (** Facade over the Palladium reproduction: boot a simulated machine
     with the Palladium-modified kernel, then create extensible
     applications ({!User_ext}, the user-level mechanism of paper
-    section 4.4) and kernel extension segments ({!Kernel_ext}, the
-    kernel-level mechanism of section 4.3).
+    section 4.4, behind a segmentation or a protection-key boundary)
+    and kernel extension segments ({!Kernel_ext}, the kernel-level
+    mechanism of section 4.3).
 
     Related entry points: {!Stub_gen} (the Figure 6 control-transfer
     sequences), {!Guard} (the protected-memory service), {!Kmod} (the
@@ -46,16 +47,17 @@ val kernel : world -> Kernel.t
 val cpu : world -> Cpu.t
 
 val create_app : world -> name:string -> User_ext.t
-(** An extensible application, already promoted to SPL 2 and ready to
-    seg_dlopen extensions. *)
+(** An extensible application behind the segmentation boundary,
+    whatever the world's backend: already promoted to SPL 2 and ready
+    to seg_dlopen extensions. *)
 
 val backend : world -> Pbackend.kind
 (** The world's effective protection backend. *)
 
 val create_backend_app :
-  ?backend:Pbackend.kind -> world -> name:string -> Pbackend.app
-(** A backend-generic extensible application under the world's
-    effective backend (or an explicit [?backend]). *)
+  ?backend:Pbackend.kind -> world -> name:string -> User_ext.t
+(** An extensible application behind the world's effective backend's
+    boundary (or an explicit [?backend]'s). *)
 
 val create_plain_process : world -> name:string -> Task.t * Runtime.t
 (** An ordinary (non-Palladium) SPL 3 process. *)

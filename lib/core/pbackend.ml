@@ -1,38 +1,25 @@
-(* Pluggable protection backends: one name for "how is the compartment
+(* Protection-backend selection: one name for "how is the compartment
    boundary enforced", selectable per process (PALLADIUM_BACKEND or
    set_default) and per world (Palladium.boot ?backend, stored in the
    kernel's policy-override table like the verify/audit/budget
-   policies).
+   policies).  Both backends are boundaries of the one extension host,
+   User_ext: [Segmentation] is the paper's mechanism (SPL 2 promotion,
+   PPL marking, lret/lcall gate transfers), [Mpk] the protection-key
+   one (flat ring 3 segments, per-page keys, wrpkru entry stubs).  The
+   hosting functions below are the host's own, under backend-neutral
+   names. *)
 
-   - [Segmentation]: the paper's user-level mechanism (User_ext) —
-     SPL 2 promotion, PPL marking, lret/lcall gate transfers.
-   - [Mpk]: the protection-key mechanism (Mpk_ext) — flat ring 3
-     segments, per-page keys, wrpkru entry/exit stubs.
-   - [Sfi_full] / [Sfi_verified]: software-fault-isolation baselines
-     (every store guarded vs. only statically unproven ones).  They
-     rewrite instructions rather than host applications, so they are
-     benchmark-only comparators here: [create] rejects them, and the
-     backends benchmark drives them through the Kmod/Sfi path. *)
+type kind = User_ext.kind = Segmentation | Mpk
 
-type kind = Segmentation | Mpk | Sfi_full | Sfi_verified
-
-let all = [ Segmentation; Mpk; Sfi_full; Sfi_verified ]
-
-let kind_name = function
-  | Segmentation -> "seg"
-  | Mpk -> "mpk"
-  | Sfi_full -> "sfi-full"
-  | Sfi_verified -> "sfi-verified"
+let kind_name = function Segmentation -> "seg" | Mpk -> "mpk"
 
 let kind_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "seg" | "segmentation" -> Some Segmentation
   | "mpk" | "pku" | "keys" -> Some Mpk
-  | "sfi-full" | "sfi_full" | "sfi" -> Some Sfi_full
-  | "sfi-verified" | "sfi_verified" -> Some Sfi_verified
   | _ -> None
 
-let expected = "seg|mpk|sfi-full|sfi-verified"
+let expected = "seg|mpk"
 
 (* Process default, like the policy defaults in Verify/Vcost/Engine:
    atomic, domain-safe, seedable from the environment. *)
@@ -53,97 +40,32 @@ let effective kernel =
   | Some s -> ( match kind_of_string s with Some k -> k | None -> default ())
   | None -> default ()
 
-(* ------------------------------------------------------------------ *)
-(* Backend-generic application hosting                                 *)
-(* ------------------------------------------------------------------ *)
+type app = User_ext.t
 
-type app = Seg of User_ext.t | Mpk_app of Mpk_ext.t
+let backend_of = User_ext.backend_of
 
-type ext = Ext_seg of User_ext.extension | Ext_mpk of Mpk_ext.extension
+let task = User_ext.task
 
-let create ?backend kernel ~name =
-  let kind = match backend with Some k -> k | None -> effective kernel in
-  match kind with
-  | Segmentation -> Seg (User_ext.create kernel ~name)
-  | Mpk -> Mpk_app (Mpk_ext.create kernel ~name)
-  | Sfi_full | Sfi_verified ->
-      invalid_arg
-        "Pbackend.create: SFI backends rewrite modules (see Sfi/Kmod); they \
-         do not host applications"
+let kernel_of = User_ext.kernel
 
-let backend_of = function Seg _ -> Segmentation | Mpk_app _ -> Mpk
+let load = User_ext.seg_dlopen
 
-let task = function Seg a -> User_ext.task a | Mpk_app a -> Mpk_ext.task a
+let resolve = User_ext.seg_dlsym
 
-let kernel_of = function
-  | Seg a -> User_ext.kernel a
-  | Mpk_app a -> Mpk_ext.kernel a
+let dlsym_data = User_ext.dlsym_data
 
-let set_time_limit app cycles =
-  match app with
-  | Seg a -> User_ext.set_time_limit a cycles
-  | Mpk_app a -> Mpk_ext.set_time_limit a cycles
+let xmalloc = User_ext.xmalloc
 
-let calls = function Seg a -> User_ext.calls a | Mpk_app a -> Mpk_ext.calls a
+let call = User_ext.call
 
-let load app image =
-  match app with
-  | Seg a -> Ext_seg (User_ext.seg_dlopen a image)
-  | Mpk_app a -> Ext_mpk (Mpk_ext.mpk_dlopen a image)
+let expose_range = User_ext.expose_range
 
-let mismatch = "Pbackend: extension belongs to a different backend"
+let hide_range = User_ext.hide_range
 
-let resolve app ext fn =
-  match (app, ext) with
-  | Seg a, Ext_seg x -> User_ext.seg_dlsym a x fn
-  | Mpk_app a, Ext_mpk x -> Mpk_ext.mpk_dlsym a x fn
-  | Seg _, Ext_mpk _ | Mpk_app _, Ext_seg _ -> invalid_arg mismatch
+let peek_u32 = User_ext.peek_u32
 
-let dlsym_data = function
-  | Ext_seg x -> User_ext.dlsym_data x
-  | Ext_mpk x -> Mpk_ext.dlsym_data x
+let poke_u32 = User_ext.poke_u32
 
-let xmalloc ext size =
-  match ext with
-  | Ext_seg x -> User_ext.xmalloc x size
-  | Ext_mpk x -> Mpk_ext.xmalloc x size
+let peek_bytes = User_ext.peek_bytes
 
-let call app ~prepare ~arg =
-  match app with
-  | Seg a -> User_ext.call a ~prepare ~arg
-  | Mpk_app a -> Mpk_ext.call a ~prepare ~arg
-
-let call_unprotected app ~fn ~arg =
-  match app with
-  | Seg a -> User_ext.call_unprotected a ~fn ~arg
-  | Mpk_app a -> Mpk_ext.call_unprotected a ~fn ~arg
-
-let expose_range app ~addr ~len =
-  match app with
-  | Seg a -> User_ext.expose_range a ~addr ~len
-  | Mpk_app a -> Mpk_ext.expose_range a ~addr ~len
-
-let hide_range app ~addr ~len =
-  match app with
-  | Seg a -> User_ext.hide_range a ~addr ~len
-  | Mpk_app a -> Mpk_ext.hide_range a ~addr ~len
-
-let peek_u32 app addr =
-  match app with
-  | Seg a -> User_ext.peek_u32 a addr
-  | Mpk_app a -> Mpk_ext.peek_u32 a addr
-
-let poke_u32 app addr v =
-  match app with
-  | Seg a -> User_ext.poke_u32 a addr v
-  | Mpk_app a -> Mpk_ext.poke_u32 a addr v
-
-let peek_bytes app addr len =
-  match app with
-  | Seg a -> User_ext.peek_bytes a addr len
-  | Mpk_app a -> Mpk_ext.peek_bytes a addr len
-
-let poke_bytes app addr bytes =
-  match app with
-  | Seg a -> User_ext.poke_bytes a addr bytes
-  | Mpk_app a -> Mpk_ext.poke_bytes a addr bytes
+let poke_bytes = User_ext.poke_bytes

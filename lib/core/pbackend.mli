@@ -1,28 +1,29 @@
-(** Pluggable protection backends.
+(** Protection-backend selection.
 
     A backend is one answer to "how is the application/extension
-    boundary enforced".  [Segmentation] is the paper's user-level
-    mechanism ([User_ext]); [Mpk] is the protection-key re-expression
-    of its paging half ([Mpk_ext]); the two SFI kinds are the
-    software-fault-isolation baselines, usable in benchmarks only
-    (they rewrite modules rather than host applications).
+    boundary enforced": [Segmentation] is the paper's user-level
+    mechanism, [Mpk] the protection-key re-expression of its paging
+    half.  Both are boundaries of the one extension host, {!User_ext};
+    the hosting functions here are that host's functions under
+    backend-neutral names.  The software-fault-isolation baselines
+    rewrite modules instead of hosting applications, so they are not
+    backends here (see [Sfi] and [bench backends]).
 
     Selection layers, weakest to strongest:
     process default ([set_default], seeded from [PALLADIUM_BACKEND])
     < per-world override ([Palladium.boot ?backend], stored in the
     kernel's policy-override table under ["backend"]) < an explicit
-    [?backend] argument to [create]. *)
+    [?backend] argument to [Palladium.create_backend_app] or
+    [User_ext.create]. *)
 
-type kind = Segmentation | Mpk | Sfi_full | Sfi_verified
-
-val all : kind list
+type kind = User_ext.kind = Segmentation | Mpk
 
 val kind_name : kind -> string
-(** "seg" | "mpk" | "sfi-full" | "sfi-verified". *)
+(** "seg" | "mpk". *)
 
 val kind_of_string : string -> kind option
 (** Accepts the [kind_name] spellings plus common aliases
-    ("segmentation", "pku", "sfi", underscores). *)
+    ("segmentation", "pku", "keys"). *)
 
 val expected : string
 (** Human-readable list of accepted spellings, for error messages. *)
@@ -35,15 +36,9 @@ val effective : Kernel.t -> kind
 (** The backend this kernel's world runs under: its ["backend"] policy
     override when set and parseable, else the process default. *)
 
-(** A backend-generic application host. *)
-type app = Seg of User_ext.t | Mpk_app of Mpk_ext.t
+(** {2 Hosting: aliases of the {!User_ext} functions} *)
 
-(** A backend-generic loaded extension. *)
-type ext = Ext_seg of User_ext.extension | Ext_mpk of Mpk_ext.extension
-
-val create : ?backend:kind -> Kernel.t -> name:string -> app
-(** Create an application under [backend] (default: [effective]).
-    @raise Invalid_argument for the SFI kinds. *)
+type app = User_ext.t
 
 val backend_of : app -> kind
 
@@ -51,26 +46,17 @@ val task : app -> Task.t
 
 val kernel_of : app -> Kernel.t
 
-val set_time_limit : app -> int -> unit
+val load : app -> Image.t -> User_ext.extension
+(** [User_ext.seg_dlopen]. *)
 
-val calls : app -> int
+val resolve : app -> User_ext.extension -> string -> int
+(** [User_ext.seg_dlsym]: a function's protected-call entry stub. *)
 
-val load : app -> Image.t -> ext
-(** [seg_dlopen] or [mpk_dlopen], by backend. *)
+val dlsym_data : User_ext.extension -> string -> int
 
-val resolve : app -> ext -> string -> int
-(** Resolve a function to its protected-call entry (Prepare stub or
-    wrpkru stub).  @raise Invalid_argument on a backend mismatch. *)
-
-val dlsym_data : ext -> string -> int
-
-val xmalloc : ext -> int -> int
+val xmalloc : User_ext.extension -> int -> int
 
 val call : app -> prepare:int -> arg:int -> (int * int, User_ext.call_error) result
-(** Protected call; both backends share [User_ext.call_error]. *)
-
-val call_unprotected :
-  app -> fn:int -> arg:int -> (int * int, User_ext.call_error) result
 
 val expose_range : app -> addr:int -> len:int -> unit
 

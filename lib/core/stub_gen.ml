@@ -127,7 +127,6 @@ type mpk_stub_spec = {
   mk_sp2_slot : int; (* where the stub saves the caller's ESP *)
   mk_bp2_slot : int; (* where the stub saves the caller's EBP *)
   mk_ext_pkru : int; (* rights while the extension runs *)
-  mk_app_pkru : int; (* rights restored on return (usually 0) *)
 }
 
 let mpk_prepare_label spec = "mprep$" ^ spec.mk_fn_name
@@ -152,7 +151,7 @@ let mpk_prepare spec =
     i (Instr.Wrpkru (imm spec.mk_ext_pkru)); (* drop to extension rights *)
     i (Instr.Call (Instr.Abs spec.mk_fn_addr)); (* call ExtensionFunction *)
     i (Instr.Mark (spec.mk_fn_name ^ ".return"));
-    i (Instr.Wrpkru (imm spec.mk_app_pkru)); (* regain application rights *)
+    i (Instr.Wrpkru (imm 0)); (* regain the application's full rights *)
     i (Instr.Mark (spec.mk_fn_name ^ ".restore"));
     i (Instr.Mov (reg Reg.ESP, absolute spec.mk_sp2_slot)); (* mov SP2, %esp *)
     i (Instr.Mov (reg Reg.EBP, absolute spec.mk_bp2_slot)); (* mov BP2, %ebp *)

@@ -59,7 +59,6 @@ type mpk_stub_spec = {
   mk_sp2_slot : int;  (** where the stub saves the caller's ESP *)
   mk_bp2_slot : int;  (** where the stub saves the caller's EBP *)
   mk_ext_pkru : int;  (** PKRU while the extension runs *)
-  mk_app_pkru : int;  (** PKRU restored on return (usually 0) *)
 }
 
 val mpk_prepare_label : mpk_stub_spec -> string

@@ -1,25 +1,34 @@
-(** The user-level extension mechanism (paper section 4.4).
+(** The user-level extension mechanism (paper section 4.4): the one
+    extension host, with a two-case compartment boundary.
 
-    An extensible application promotes itself to SPL 2 through init_PL
-    (all its writable pages become PPL 0), loads extensions into SPL 3
-    extension segments spanning the same 0-3 GByte range, and calls
-    extension functions through generated Prepare/Transfer stubs; the
-    return path goes through the per-application AppCallGate.
-    Page-level user/supervisor checks protect the application from its
-    extensions; segment-level checks keep everyone out of the
-    kernel. *)
+    An application loads extensions into areas of its own address
+    space and calls their functions through generated entry stubs.
+    Under {b segmentation}, the paper's mechanism, init_PL promotes
+    the application to SPL 2 (its writable pages become PPL 0),
+    extensions run in SPL 3 segments over the same 0-3 GByte range,
+    and calls go through Prepare/Transfer stubs with AppCallGate as
+    the return path.  Under {b keys} (MPK-style) the application stays
+    at ring 3 with its writable pages under {!app_key}, extension areas
+    carry the extension key, and a call is one stub that writes PKRU
+    twice; wrong-key accesses raise [Fault.Page_key] exactly where
+    segmentation raises PPL faults. *)
+
+(** The two boundaries (named and selected by {!Pbackend}). *)
+type kind = Segmentation | Mpk
+
+val app_key : int
+(** Protection key of a keys-boundary application's writable private
+    pages (1). *)
 
 (** A loaded extension: its image, stack, heap and generated stubs. *)
 type extension = {
   x_name : string;
   x_handle : Dyld.handle;
-  x_stack_area : Vm_area.t;
   x_arg_slot : int;  (** top extension-stack slot; initial extension ESP *)
-  x_heap_base : int;
   x_heap_end : int;
   mutable x_heap_cursor : int;
   mutable x_functions : (string * int) list;
-      (** function name -> Prepare address *)
+      (** function name -> entry stub address *)
 }
 
 (** Why a protected call did not complete. *)
@@ -35,11 +44,14 @@ type t
 
 (** {2 Creating an extensible application} *)
 
-val create : Kernel.t -> name:string -> t
-(** Create a task, install the user-mode runtime, generate AppCallGate,
-    perform init_PL (promotion to SPL 2 + PPL marking) and register the
-    return gate.  The returned application is ready to load
-    extensions. *)
+val create : ?backend:kind -> Kernel.t -> name:string -> t
+(** Create a task, install the user-mode runtime and the data and stub
+    regions, and promote the process behind [backend]'s boundary
+    (default [Segmentation]): AppCallGate, init_PL and the return gate;
+    or init_mpk and the auditor's MPK domain.  The returned application
+    is ready to load extensions. *)
+
+val backend_of : t -> kind
 
 val task : t -> Task.t
 
@@ -58,51 +70,50 @@ val set_time_limit : t -> int -> unit
 (** {2 Loading extensions} *)
 
 val seg_dlopen : t -> Image.t -> extension
-(** Load an image into a fresh SPL 3 extension segment (text, data,
-    GOT, stack and heap areas, all PPL 1).  Charges the paper's
-    measured load cost including PPL marking. *)
-
-val find_extension : t -> string -> extension option
+(** Load an image into a fresh extension segment (text, data, GOT,
+    stack and heap areas) and mark its pages for the boundary: the
+    paper's measured PPL-marking charge (all areas PPL 1), or the
+    extension key on every area followed by an audit. *)
 
 val seg_dlsym : t -> extension -> string -> int
 (** Resolve an extension {e function} and return a pointer to a
-    generated Prepare stub for it (cached per function).  Data symbols
-    must use {!dlsym_data} — only function pointers are "massaged"
-    (paper section 4.5.1). *)
+    generated entry stub for it (Prepare, or the wrpkru stub; cached
+    per function).  Data symbols must use {!dlsym_data} — only
+    function pointers are "massaged" (paper section 4.5.1). *)
 
 val dlsym_data : extension -> string -> int
 (** Plain dlsym for data symbols inside the extension segment. *)
 
 val xmalloc : extension -> int -> int
-(** Allocate from the extension's heap (PPL 1, writable by the
-    extension); raises [Invalid_argument] when exhausted. *)
+(** Allocate from the extension's heap (writable by the extension);
+    raises [Invalid_argument] when exhausted. *)
 
 (** {2 Calling} *)
 
 val call : t -> prepare:int -> arg:int -> (int * int, call_error) result
-(** Protected extension call: runs Prepare at SPL 2, the extension at
-    SPL 3 and the return gate, under the watchdog.  [Ok (result,
-    cycles)] on completion. *)
+(** Protected extension call through the entry stub, under the
+    watchdog.  [Ok (result, cycles)] on completion. *)
 
 val call_unprotected : t -> fn:int -> arg:int -> (int * int, call_error) result
 (** Baseline: a plain local call in the application's own domain. *)
 
-(** {2 PPL management and services} *)
+(** {2 Range management and services} *)
 
 val expose_range : t -> addr:int -> len:int -> unit
-(** set_range to PPL 1: make pages visible to extensions. *)
+(** Make pages visible to extensions: set_range to PPL 1, or set_key
+    to key 0. *)
 
 val hide_range : t -> addr:int -> len:int -> unit
-(** set_range to PPL 0. *)
+(** Hide pages again: set_range to PPL 0, or set_key to {!app_key}. *)
 
 val add_service : t -> name:string -> handler:(args_base:int -> int) -> int
 (** Expose an application service to extensions behind a DPL 3 call
     gate (the encapsulation required for buffering libc routines,
     section 4.4.1).  [handler] receives the address of the arguments
     the extension pushed on its own stack; its return value goes back
-    in EAX.  Returns the encoded gate selector. *)
-
-val service_selector : t -> string -> int option
+    in EAX.  Returns the encoded gate selector.
+    @raise Invalid_argument under the keys boundary, whose ring 3
+    application has no SPL 2 for the service body. *)
 
 val services : t -> (string * int) list
 

@@ -36,13 +36,17 @@ let run_world f i =
   let v = Obs.Sink.with_sink sink (fun () -> f i) in
   { wr_world = i; wr_value = v; wr_sink = sink; wr_elapsed = now () -. t0 }
 
+(* Never more domains than the host recommends: every minor GC stops
+   all domains, so one descheduled domain on an oversubscribed host
+   stalls the rest, and the fleet runs slower than serially. *)
 let check_args ~fn ?domains ~worlds () =
   if worlds < 0 then invalid_arg (Printf.sprintf "Fleet.%s: negative world count" fn);
+  let cores = Domain.recommended_domain_count () in
   match domains with
   | Some d ->
       if d < 1 then invalid_arg (Printf.sprintf "Fleet.%s: domains must be >= 1" fn);
-      d
-  | None -> max 1 (min worlds (Domain.recommended_domain_count ()))
+      min d cores
+  | None -> max 1 (min worlds cores)
 
 let assemble ~t0 ~domains ~worlds slots =
   let results =

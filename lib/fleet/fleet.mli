@@ -26,11 +26,13 @@ type 'a t = {
 
 val run : ?domains:int -> worlds:int -> (int -> 'a) -> 'a t
 (** Run the fleet.  [?domains] defaults to
-    [min worlds (Domain.recommended_domain_count ())]; [~domains:1]
-    runs serially on the calling domain (the baseline for speedup and
-    determinism comparisons).  An exception in any world is re-raised
-    here after all domains joined.  Raises [Invalid_argument] on a
-    negative world count or a non-positive domain count. *)
+    [min worlds (Domain.recommended_domain_count ())] and is never
+    raised above [Domain.recommended_domain_count ()] ([f_domains]
+    records the count used); [~domains:1] runs serially on the calling
+    domain (the baseline for speedup and determinism comparisons).  An
+    exception in any world is re-raised here after all domains joined.
+    Raises [Invalid_argument] on a negative world count or a
+    non-positive domain count. *)
 
 (** {2 Non-blocking fleets}
 
@@ -45,7 +47,7 @@ type 'a handle
 val start : ?domains:int -> worlds:int -> (int -> 'a) -> 'a handle
 (** Launch the fleet in the background.  Unlike {!run}, even a
     1-domain fleet runs on a spawned domain.  Same argument
-    validation as {!run}. *)
+    validation and domain clamp as {!run}. *)
 
 val completed : 'a handle -> int
 (** Worlds finished so far (atomic; safe to poll from the caller). *)

@@ -119,16 +119,23 @@ let () =
   | _ -> fail "backends: mpk transfer not cheaper than segmentation");
   Bench_runs.audit ~json_dir ~full_iters:3 ();
   validate "audit";
-  (* a clean world must audit clean, and skipping must beat auditing *)
+  (* a clean world must audit clean, and every incremental re-audit of
+     the untouched world must skip *)
   let doc = load "audit" in
   (match J.to_int (mem "findings" doc) with
   | Some 0 -> ()
   | Some n -> fail "audit: clean bench world has %d findings" n
   | None -> fail "audit: findings missing");
-  (match J.to_float (mem "speedup" (mem "incremental" doc)) with
-  | Some s when s > 1.0 -> ()
-  | Some s -> fail "audit: incremental skip not faster than full audit (%.2fx)" s
-  | None -> fail "audit: speedup missing");
+  (match
+     ( J.to_int (mem "iterations" (mem "incremental" doc)),
+       J.member "audit.skipped" (mem "counters_delta" doc) )
+   with
+  | Some iters, Some skipped -> (
+      match J.to_int skipped with
+      | Some n when n >= iters -> ()
+      | _ -> fail "audit: %d incremental re-audits did not all skip" iters)
+  | Some _, None -> fail "audit: audit.skipped counter did not move"
+  | None, _ -> fail "audit: incremental iterations missing");
   (* the headline claim of the verifier benchmark: elision keeps the
      guard count strictly below blanket SFI *)
   let doc = load "sfi" in
@@ -152,9 +159,11 @@ let () =
   (match J.to_int (mem "total" (mem "accesses" body)) with
   | Some n when n > 0 -> ()
   | _ -> fail "soundness: no accesses classified");
-  (* the fleet runner: a 4-domain parallel sweep must reproduce the
-     serial per-world results bit-for-bit, and the merged histogram
-     must account for every request *)
+  (* the fleet runner: a parallel sweep (4 domains requested, at most
+     one per core used) must reproduce the serial per-world results
+     bit-for-bit, and the merged histogram must account for every
+     request.  Its speedup floor is a host-time gate of [bench
+     parallel], not a test. *)
   let outcome = Bench_runs.parallel ~json_dir ~domains:4 () in
   validate "parallel";
   if not outcome.Bench_runs.par_deterministic then
@@ -168,17 +177,10 @@ let () =
   (match mem "deterministic" doc with
   | J.Bool true -> ()
   | _ -> fail "parallel: artifact does not record determinism");
-  (* speedup is only meaningful with real cores; single-core runners
-     (and this container) pay pure domain-switch overhead *)
-  if Domain.recommended_domain_count () >= 2 then begin
-    if outcome.Bench_runs.par_speedup < 1.3 then
-      fail "parallel: %d-core speedup %.2fx below 1.3x threshold"
-        (Domain.recommended_domain_count ())
-        outcome.Bench_runs.par_speedup
-  end
-  else
-    Printf.printf
-      "bench-smoke parallel: single core, skipping speedup assertion\n%!";
+  (match (J.to_int (mem "domains_requested" doc), J.to_int (mem "domains" doc)) with
+  | Some 4, Some used when used = min 4 (Domain.recommended_domain_count ()) ->
+      ()
+  | _ -> fail "parallel: artifact does not record the domain clamp");
   (* the sampled time series: per-world series from a parallel fleet
      must be bit-identical to the serial run, and the merged bcache
      series must show cache warm-up (first busy interval strictly
@@ -206,8 +208,8 @@ let () =
   | Some (J.List (_ :: _)) -> ()
   | _ -> fail "timeline: artifact series missing");
   (* the basic-block engine: every workload must produce bit-identical
-     architectural totals under both engines, and the compute-heavy
-     protected-call sweep must clear a 3x simulated-MIPS floor *)
+     architectural totals under both engines.  Its 3x speedup floor is
+     a host-time gate of [bench fastpath], not a test. *)
   let fp =
     Bench_runs.fastpath ~json_dir ~machine_iters:20_000 ~calls:30 ~sim_calls:10
       ~requests:2_000 ()
@@ -223,18 +225,4 @@ let () =
   (match mem "rows" doc with
   | J.List (_ :: _) -> ()
   | _ -> fail "fastpath: artifact rows missing");
-  let pc = fp.Bench_runs.fp_protected in
-  (* speedup is a wall-clock ratio: only assert it when the interpreter
-     run is long enough for Sys.time to be meaningful *)
-  if pc.Bench_runs.fp_interp.Bench_runs.es_sec < 0.01 then
-    Printf.printf
-      "bench-smoke fastpath: interp run too short to time, skipping speedup \
-       assertion\n\
-       %!"
-  else begin
-    let s = Bench_runs.fp_speedup pc in
-    if s < 3.0 then
-      fail "fastpath: protected-call block-engine speedup %.2fx below 3x floor"
-        s
-  end;
   print_endline "bench-smoke: all subcommands emitted valid artifacts"

@@ -141,7 +141,7 @@ let test_wrong_key_store_faults () =
   Pbackend.poke_u32 app cell 0x5eed;
   (match Pbackend.call app ~prepare:poke ~arg:cell with
   | Error (User_ext.Protection_fault (X86.Fault.Page_key { key; _ })) ->
-      check_int "faulting key is the application key" Mpk_ext.app_key key
+      check_int "faulting key is the application key" User_ext.app_key key
   | Error e -> Alcotest.failf "wrong fault: %a" User_ext.pp_call_error e
   | Ok _ -> Alcotest.fail "wrong-keyed store completed");
   check_int "cell survived the rogue store" 0x5eed (Pbackend.peek_u32 app cell);
@@ -228,6 +228,23 @@ let test_rogue_wrpkru_flagged_by_audit () =
   in
   check_bool "INV-23 cited" true (List.mem "INV-23" ids)
 
+(* A keys-boundary application is a ring 3 process: it has no SPL 2
+   for a service body or a DPL 2 guard segment, so both are refused
+   instead of building a gate or segment the application cannot use. *)
+let test_keys_app_refuses_gates () =
+  let w = Palladium.boot ~backend:Pbackend.Mpk () in
+  let app = Palladium.create_backend_app w ~name:"app" in
+  Alcotest.check_raises "add_service"
+    (Invalid_argument
+       "User_ext.add_service: services need the segmentation boundary")
+    (fun () ->
+      ignore (User_ext.add_service app ~name:"svc" ~handler:(fun ~args_base:_ -> 0)));
+  Alcotest.check_raises "Guard.create"
+    (Invalid_argument "Guard.create: guard segments need the segmentation boundary")
+    (fun () -> ignore (Guard.create app ~size:64));
+  check_bool "no service registered" true (User_ext.services app = []);
+  Palladium.teardown w
+
 (* The whole point of the backend: the protection-key transfer must be
    measurably cheaper than the segmentation gate path. *)
 let test_mpk_transfer_cheaper () =
@@ -255,12 +272,16 @@ let test_mpk_transfer_cheaper () =
 let test_backend_selection () =
   let w = Palladium.boot ~backend:Pbackend.Mpk () in
   check_string "world backend" "mpk" (Pbackend.kind_name (Palladium.backend w));
-  (match Palladium.create_backend_app w ~name:"a" with
-  | Pbackend.Mpk_app _ -> ()
-  | Pbackend.Seg _ -> Alcotest.fail "world override ignored");
-  (match Palladium.create_backend_app ~backend:Pbackend.Segmentation w ~name:"b" with
-  | Pbackend.Seg _ -> ()
-  | Pbackend.Mpk_app _ -> Alcotest.fail "explicit backend ignored");
+  check_string "world override" "mpk"
+    (Pbackend.kind_name
+       (Pbackend.backend_of (Palladium.create_backend_app w ~name:"a")));
+  check_string "explicit backend" "seg"
+    (Pbackend.kind_name
+       (Pbackend.backend_of
+          (Palladium.create_backend_app ~backend:Pbackend.Segmentation w
+             ~name:"b")));
+  check_string "User_ext.create stays segmentation" "seg"
+    (Pbackend.kind_name (Pbackend.backend_of (Palladium.create_app w ~name:"c")));
   (* a plain boot follows the process default, whatever that is —
      CI runs this suite under PALLADIUM_BACKEND=seg and =mpk *)
   let plain = Palladium.boot () in
@@ -286,6 +307,8 @@ let () =
             test_forged_wrpkru_load_rejected;
           Alcotest.test_case "rogue wrpkru flagged by audit" `Quick
             test_rogue_wrpkru_flagged_by_audit;
+          Alcotest.test_case "keys app refuses gates and guards" `Quick
+            test_keys_app_refuses_gates;
         ] );
       ( "cost",
         [
