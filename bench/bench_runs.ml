@@ -9,13 +9,10 @@
    delta of the global event counters) so two runs can be diffed
    mechanically; see EXPERIMENTS.md.
 
-   This is a library so the bench-smoke test can drive every
-   subcommand with tiny iteration counts under dune runtest; the
-   [main] executable is a thin argv dispatcher over it. *)
-
-let mhz = float_of_int Cycles.mhz
-
-let usec_of_cycles c = float_of_int c /. mhz
+   This is a library so the bench-smoke test can drive the subcommands
+   with tiny iteration counts under dune runtest and pin their
+   simulated columns; the [main] executable is a thin argv dispatcher
+   over it. *)
 
 (* Emit the JSON artifact next to the tables and say where it went.
    [histogram] is the latency distribution of the subcommand's primary
@@ -248,7 +245,7 @@ let table2 ?(json_dir = ".") ?(runs = 100) () =
               (match h with
               | Some h -> Obs.Histogram.observe h cycles
               | None -> ());
-              usec_of_cycles cycles
+              Cycles.cycles_to_usec cycles
           | Error e ->
               Fmt.failwith "table2 call failed: %a" User_ext.pp_call_error e)
     in
@@ -544,10 +541,14 @@ let micro ?(json_dir = ".") () =
   Table.print ~title:"Section 5.1 micro-measurements" ~aligns:[ Table.L ]
     ~headers:[ "Quantity"; "Measured"; "Paper" ]
     [
-      [ "dlopen (usec)"; Table.cell_usec (usec_of_cycles dlopen_cycles); "400" ];
+      [
+        "dlopen (usec)";
+        Table.cell_usec (Cycles.cycles_to_usec dlopen_cycles);
+        "400";
+      ];
       [
         "seg_dlopen (usec)";
-        Table.cell_usec (usec_of_cycles seg_dlopen_cycles);
+        Table.cell_usec (Cycles.cycles_to_usec seg_dlopen_cycles);
         "420";
       ];
       [ "PPL marking, 10 pages (cycles)"; Table.cell_int mark10; "3450-5450" ];
@@ -573,10 +574,10 @@ let micro ?(json_dir = ".") () =
     [
       ( "dlopen_usec",
         Obs.Bench_json.measurement ~paper:(Float 400.0)
-          (Float (usec_of_cycles dlopen_cycles)) );
+          (Float (Cycles.cycles_to_usec dlopen_cycles)) );
       ( "seg_dlopen_usec",
         Obs.Bench_json.measurement ~paper:(Float 420.0)
-          (Float (usec_of_cycles seg_dlopen_cycles)) );
+          (Float (Cycles.cycles_to_usec seg_dlopen_cycles)) );
       ( "ppl_mark_10_pages_cycles",
         Obs.Bench_json.measurement ~paper:(String "3450-5450") (Int mark10) );
       ( "sigsegv_delivery_cycles",
@@ -650,7 +651,7 @@ let ipc_cmp ?(json_dir = ".") ~palladium_cycles () =
         List
           [
             mech "palladium" (Some palladium_cycles)
-              (Some (usec_of_cycles palladium_cycles))
+              (Some (Cycles.cycles_to_usec palladium_cycles))
               Ipc_costs.palladium_domain_crossings;
             mech "l4" (Some L4.best_case_cycles) (Some L4.usec_on_p166)
               L4.domain_crossings;
@@ -938,7 +939,7 @@ let bk_finish ~since ~requests ~kernel row =
   let ws =
     Server.run ~total:requests ~invocation:Cgi_model.Libcgi_protected
       ~bytes:1024
-      ~protected_call_usec:(row.bk_xfer_cycles /. mhz)
+      ~protected_call_usec:(row.bk_xfer_cycles /. float_of_int Cycles.mhz)
       ()
   in
   let d = Obs.Counters.delta ~since in
@@ -1495,20 +1496,20 @@ let wcet ?(json_dir = ".") ?(packets = 64) () =
      already misses it, instead of queueing them to time out. *)
   let handler_usec =
     Cgi_model.request_usec ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-      ~protected_call_usec:(usec_of_cycles 144)
+      ~protected_call_usec:(Cycles.cycles_to_usec 144)
   in
   let deadline = 8.0 *. handler_usec in
   let total = 400 in
   let no_adm =
     Server.run ~concurrency:30 ~total ~deadline_usec:deadline
       ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-      ~protected_call_usec:(usec_of_cycles 144) ()
+      ~protected_call_usec:(Cycles.cycles_to_usec 144) ()
   in
   let adm =
     Server.run ~concurrency:30 ~total ~deadline_usec:deadline
       ~handler_wcet_usec:handler_usec
       ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-      ~protected_call_usec:(usec_of_cycles 144) ()
+      ~protected_call_usec:(Cycles.cycles_to_usec 144) ()
   in
   Table.print
     ~title:
@@ -1624,164 +1625,6 @@ let wcet ?(json_dir = ".") ?(packets = 64) () =
       adm.Server.requests adm.Server.shed total;
   rows
 
-(* --- Audit cost: full vs incremental re-audit -------------------------- *)
-
-(* How much does the protection-state auditor cost?  A full audit
-   snapshots every descriptor table, page directory and TSS and runs
-   the whole invariant catalogue plus the reachability proof; an
-   incremental re-audit consults the generation fingerprint and skips
-   when nothing protection-relevant changed.  Host wall-clock
-   (Sys.time), not simulated cycles: the auditor runs in the loader,
-   outside the simulated machine. *)
-let audit ?(json_dir = ".") ?(full_iters = 25) () =
-  let since = Obs.Counters.snapshot () in
-  let world = Audit_scenarios.build () in
-  let kernel = world.Audit_scenarios.kernel in
-  let time_sec f =
-    let t0 = Sys.time () in
-    f ();
-    Sys.time () -. t0
-  in
-  let h_usec = Obs.Histogram.create () in
-  let full_total =
-    time_sec (fun () ->
-        for _ = 1 to full_iters do
-          let t = time_sec (fun () -> ignore (Audit_scenarios.audit_world world)) in
-          Obs.Histogram.observe h_usec (max 1 (int_of_float (t *. 1e6)))
-        done)
-  in
-  (* Prime the generation cache, then hammer the incremental path: the
-     machine state is untouched, so every call must skip. *)
-  Paudit.maybe_audit ~context:"bench" kernel;
-  let incr_iters = full_iters * 200 in
-  let incr_total =
-    time_sec (fun () ->
-        for _ = 1 to incr_iters do
-          Paudit.maybe_audit ~context:"bench" kernel
-        done)
-  in
-  let per_full = full_total /. float_of_int full_iters in
-  let per_incr = max 1e-9 (incr_total /. float_of_int incr_iters) in
-  let report = Audit_scenarios.audit_world world in
-  Printf.printf
-    "audit: %d invariants + reachability over %d GDT/IDT/LDT entries\n"
-    report.Audit.Engine.rp_checked
-    (report.Audit.Engine.rp_reach.Audit.Reach.r_nodes
-    + List.length report.Audit.Engine.rp_reach.Audit.Reach.r_audited);
-  Printf.printf "  full audit        %8.1f usec  (%7.0f audits/sec)\n"
-    (per_full *. 1e6)
-    (1.0 /. max 1e-9 per_full);
-  Printf.printf "  incremental skip  %8.3f usec  (%7.0f checks/sec, %.0fx)\n"
-    (per_incr *. 1e6) (1.0 /. per_incr) (per_full /. per_incr);
-  let open Obs.Json in
-  emit ~json_dir ~name:"audit" ~since
-    ~histogram:("audit_full_usec", h_usec)
-    [
-      ( "full",
-        Obj
-          [
-            ("iterations", Int full_iters);
-            ("usec_per_audit", Float (per_full *. 1e6));
-            ("audits_per_sec", Float (1.0 /. max 1e-9 per_full));
-          ] );
-      ( "incremental",
-        Obj
-          [
-            ("iterations", Int incr_iters);
-            ("usec_per_check", Float (per_incr *. 1e6));
-            ("checks_per_sec", Float (1.0 /. per_incr));
-            ("speedup", Float (per_full /. per_incr));
-          ] );
-      ("invariants", Int (List.length Audit.Invariant.catalogue));
-      ("findings", Int (List.length report.Audit.Engine.rp_findings));
-    ]
-
-(* --- Bechamel wall-clock suite ---------------------------------------- *)
-
-let bechamel ?(json_dir = ".") ?(quota_sec = 0.5) () =
-  let since = Obs.Counters.snapshot () in
-  let open Bechamel in
-  let open Toolkit in
-  let t1 =
-    Test.make ~name:"table1/protected-null-call"
-      (Staged.stage (fun () ->
-           let _w, app = boot_app () in
-           let ext = User_ext.seg_dlopen app Ulib.null_image in
-           let prepare = User_ext.seg_dlsym app ext "null_fn" in
-           ignore (User_ext.call app ~prepare ~arg:1)))
-  in
-  let t2 =
-    Test.make ~name:"table2/strrev-256B"
-      (Staged.stage (fun () ->
-           let _w, app = boot_app () in
-           let ext = User_ext.seg_dlopen app Ulib.strrev_image in
-           let prepare = User_ext.seg_dlsym app ext "strrev" in
-           let buf = User_ext.xmalloc ext 512 in
-           fill_string app buf 256;
-           ignore (User_ext.call app ~prepare ~arg:buf)))
-  in
-  let t3 =
-    Test.make ~name:"table3/des-sweep"
-      (Staged.stage (fun () ->
-           ignore (Bench_ab.sweep ~protected_call_usec:0.72 ())))
-  in
-  let f7 =
-    Test.make ~name:"figure7/bpf-4-terms"
-      (Staged.stage (fun () ->
-           let w = Palladium.boot () in
-           let kernel = Palladium.kernel w in
-           let task = Kernel.create_task kernel ~name:"init" in
-           let interp = Bpf_asm_interp.load kernel in
-           let pkt = Packet.to_bytes (Pkt_gen.matching_packet ()) in
-           Bpf_asm_interp.set_program interp
-             (Filter_expr.to_bpf_tcpdump (Filter_expr.canonical 4));
-           Bpf_asm_interp.set_packet interp pkt;
-           ignore (Bpf_asm_interp.run interp task)))
-  in
-  let benchmark test =
-    let quota = Time.second quota_sec in
-    Benchmark.all (Benchmark.cfg ~quota ()) [ Instance.monotonic_clock ] test
-  in
-  let estimates = ref [] in
-  let h_ns = Obs.Histogram.create () in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      Hashtbl.iter
-        (fun name result ->
-          let ols =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Instance.monotonic_clock result
-          in
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-              estimates := (name, Some est) :: !estimates;
-              Obs.Histogram.observe h_ns (max 0 (int_of_float est));
-              Printf.printf "bechamel %-32s %12.0f ns/run\n" name est
-          | Some _ | None ->
-              estimates := (name, None) :: !estimates;
-              Printf.printf "bechamel %-32s (no estimate)\n" name)
-        results)
-    [ t1; t2; t3; f7 ];
-  let open Obs.Json in
-  emit ~json_dir ~name:"bechamel" ~since
-    ~histogram:("ns_per_run", h_ns)
-    [
-      ( "estimates",
-        List
-          (List.rev_map
-             (fun (name, est) ->
-               Obj
-                 [
-                   ("name", String name);
-                   ( "ns_per_run",
-                     match est with Some e -> Float e | None -> Null );
-                 ])
-             !estimates) );
-    ]
-
 (* --- Domain-parallel fleet sweep ------------------------------------- *)
 
 (* One isolated world's workload, deterministic in the world index:
@@ -1812,7 +1655,7 @@ let fleet_world ~calls ~requests i =
   let stats =
     Server.run ~concurrency:16 ~total:requests ~latency:h_req
       ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-      ~protected_call_usec:(usec_of_cycles 144) ()
+      ~protected_call_usec:(Cycles.cycles_to_usec 144) ()
   in
   Palladium.teardown w;
   (calls, stats.Server.requests)
@@ -1949,11 +1792,12 @@ let parallel ?(json_dir = ".") ?(domains = 4) ?worlds ?(calls = 2000)
 
 (* --- Basic-block engine speedup --------------------------------------- *)
 
-(* Same workload, both execution engines: the architectural totals
-   (cycle count, instruction count) must be identical — the block
-   engine is an implementation detail, not a model change — and the
-   wall-clock ratio is the engine's speedup.  Simulated MIPS is
-   retired simulated instructions per wall-clock second. *)
+(* The compute-heavy protected-call sweep under both execution engines:
+   the architectural totals (cycle count, instruction count) must be
+   identical — the block engine is an implementation detail, not a
+   model change — and the wall-clock ratio is the engine's speedup.
+   Simulated MIPS is retired simulated instructions per wall-clock
+   second. *)
 
 type engine_sample = {
   es_sec : float;
@@ -1963,11 +1807,7 @@ type engine_sample = {
 
 let mips s = float_of_int s.es_instrs /. max 1e-9 s.es_sec /. 1e6
 
-type fastpath_row = {
-  fp_workload : string;
-  fp_interp : engine_sample;
-  fp_blocks : engine_sample;
-}
+type fastpath_row = { fp_interp : engine_sample; fp_blocks : engine_sample }
 
 let fp_speedup r = r.fp_interp.es_sec /. max 1e-9 r.fp_blocks.es_sec
 
@@ -1975,102 +1815,19 @@ let fp_identical r =
   r.fp_interp.es_cycles = r.fp_blocks.es_cycles
   && r.fp_interp.es_instrs = r.fp_blocks.es_instrs
 
-type fastpath_outcome = {
-  fp_rows : fastpath_row list;
-  fp_machine : fastpath_row;
-  fp_protected : fastpath_row; (* the compute-heavy protected-call sweep *)
-  fp_cache : Bcache.stats;
-}
-
 let with_engine engine f =
   let saved = Bexec.get_default_engine () in
   Bexec.set_default_engine engine;
   Fun.protect ~finally:(fun () -> Bexec.set_default_engine saved) f
 
-(* Hookless flat machine running a register-only loop: the fast-path
-   fraction is ~100%, so this row is the engine's best case and the
-   one the smoke test holds to a speedup floor. *)
-let fastpath_machine_sample engine ~iters =
-  let module P = X86.Privilege in
-  let module Sel = X86.Selector in
-  let module Desc = X86.Descriptor in
-  let module DT = X86.Desc_table in
-  let module Seg = X86.Segmentation in
-  let phys = X86.Phys_mem.create () in
-  let dir = X86.Paging.create () in
-  for vpn = 0 to 31 do
-    let pfn = X86.Phys_mem.alloc_frame phys in
-    X86.Paging.map dir ~vpn ~pfn ~writable:true ~user:true
-  done;
-  let gdt = DT.gdt () in
-  DT.set gdt 1 (Desc.code ~base:0 ~limit:0x1F_FFFF ~dpl:P.R0 ());
-  DT.set gdt 2 (Desc.data ~base:0 ~limit:0x1F_FFFF ~dpl:P.R0 ());
-  let kcs = Sel.make ~rpl:P.R0 1 in
-  let kds = Sel.make ~rpl:P.R0 2 in
-  let idt = DT.create ~capacity:16 ~name:"idt" ~is_gdt:false () in
-  let tss = Tss.create ~dir () in
-  Tss.set_stack tss P.R0 { Tss.stack_selector = kds; stack_pointer = 0x8000 };
-  let mmu = X86.Mmu.create phys ~dir in
-  let code = Code_mem.create () in
-  let view = DT.view gdt in
-  let cpu = Cpu.create ~mmu ~code ~view ~idt ~tss () in
-  let bx = Bexec.attach cpu in
-  Cpu.set_engine cpu engine;
-  let r x = Operand.Reg x in
-  let org = 0x1000 in
-  let lea =
-    {
-      Operand.base = Some Reg.EBX;
-      index = Some (Reg.ECX, 4);
-      disp = 12;
-      seg_override = None;
-    }
-  in
-  let asm =
-    Asm.assemble ~org
-      [
-        Asm.I (Instr.Mov (r Reg.ECX, Operand.Imm iters));
-        Asm.I (Instr.Mov (r Reg.EAX, Operand.Imm 0));
-        Asm.I (Instr.Mov (r Reg.EBX, Operand.Imm 0x9E37_79B9));
-        Asm.L "loop";
-        Asm.I (Instr.Alu (Instr.Add, r Reg.EAX, r Reg.EBX));
-        Asm.I (Instr.Alu (Instr.Xor, r Reg.EBX, r Reg.EAX));
-        Asm.I (Instr.Shl (r Reg.EAX, 1));
-        Asm.I (Instr.Lea (Reg.ESI, lea));
-        Asm.I (Instr.Imul (Reg.EDX, r Reg.ESI));
-        Asm.I (Instr.Inc (r Reg.EDI));
-        Asm.I (Instr.Dec (r Reg.ECX));
-        Asm.I (Instr.Jcc (Instr.Ne, Instr.Label "loop"));
-        Asm.I Instr.Hlt;
-      ]
-  in
-  Code_mem.store_program code ~addr:org asm.Asm.instrs;
-  Cpu.force_seg cpu Reg.CS (Seg.load_code view ~new_cpl:P.R0 kcs);
-  Cpu.force_seg cpu Reg.SS (Seg.load_stack view ~cpl:P.R0 kds);
-  Cpu.force_seg cpu Reg.DS (Seg.load_data view ~cpl:P.R0 kds);
-  Cpu.force_seg cpu Reg.ES (Seg.load_data view ~cpl:P.R0 kds);
-  Cpu.set_eip cpu org;
-  Cpu.set_reg cpu Reg.ESP 0x8000;
-  Cpu.set_halted cpu false;
-  let t0 = Sys.time () in
-  (match Cpu.run cpu with
-  | Cpu.Halted -> ()
-  | Cpu.Max_instructions | Cpu.Fault_abort _ ->
-      failwith "fastpath: machine loop did not halt");
-  ( { es_sec = Sys.time () -. t0; es_cycles = Cpu.cycles cpu;
-      es_instrs = Cpu.instructions cpu },
-    Bexec.stats bx )
-
-(* The checksum rounds of the compute-heavy protected-call sweeps:
+(* The checksum rounds of the compute-heavy protected-call sweep:
    ~32k simulated instructions per call, so instruction dispatch (not
    the crossing or the kernel's OCaml bookkeeping) dominates. *)
 let mix_rounds = 4096
 
 (* Warm protected calls into [image]'s [export] through the full
-   stub/gate path.  The null function measures the crossing itself
-   (kernel entries, far transfers and stub code run outside blocks,
-   so the engine cannot help); the mix kernel measures a
-   compute-bound extension where it can. *)
+   stub/gate path.  With the mix kernel the extension is compute-bound,
+   so the engine's dispatch, not the crossing, sets the host time. *)
 let fastpath_calls_sample ?hist engine ~image ~export ~calls =
   with_engine engine @@ fun () ->
   let _w, app = boot_app () in
@@ -2094,45 +1851,8 @@ let fastpath_calls_sample ?hist engine ~image ~export ~calls =
   { es_sec = Sys.time () -. t0; es_cycles = Cpu.cycles cpu - c0;
     es_instrs = Cpu.instructions cpu - i0 }
 
-(* Web-server sweep: measure the per-request protected CGI call — a
-   handler that checksums the request, the mix kernel — by simulation
-   under the engine, then feed the measured cost into the DES server
-   model.  Identical cycle totals imply identical modelled
-   throughput; the wall-clock win is in producing the measurement. *)
-let fastpath_server_sample engine ~sim_calls ~requests =
-  with_engine engine @@ fun () ->
-  let _w, app = boot_app () in
-  let ext = User_ext.seg_dlopen app (Ulib.mix_image ~rounds:mix_rounds) in
-  let prepare = User_ext.seg_dlsym app ext "mix" in
-  (match User_ext.call app ~prepare ~arg:1 with
-  | Ok _ -> ()
-  | Error e -> Fmt.failwith "fastpath mix: %a" User_ext.pp_call_error e);
-  let cpu = Kernel.cpu (User_ext.kernel app) in
-  let c0 = Cpu.cycles cpu and i0 = Cpu.instructions cpu in
-  let t0 = Sys.time () in
-  for _ = 1 to sim_calls do
-    ignore (User_ext.call app ~prepare ~arg:1)
-  done;
-  let sec = Sys.time () -. t0 in
-  let d_cycles = Cpu.cycles cpu - c0 in
-  let per_call = d_cycles / sim_calls in
-  let stats =
-    Server.run ~concurrency:16 ~total:requests
-      ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-      ~protected_call_usec:(usec_of_cycles per_call) ()
-  in
-  ( { es_sec = sec; es_cycles = d_cycles;
-      es_instrs = Cpu.instructions cpu - i0 },
-    stats.Server.throughput_rps )
-
-let fastpath ?(json_dir = ".") ?(machine_iters = 200_000) ?(calls = 300)
-    ?(sim_calls = 100) ?(requests = 20_000) () =
+let fastpath ?(json_dir = ".") ?(calls = 300) () =
   let since = Obs.Counters.snapshot () in
-  (* Machine row, plus the cache footprint of its blocks run. *)
-  let m_interp, _ = fastpath_machine_sample Cpu.Interp ~iters:machine_iters in
-  let m_blocks, cache = fastpath_machine_sample Cpu.Blocks ~iters:machine_iters in
-  let machine = { fp_workload = "machine-alu"; fp_interp = m_interp;
-                  fp_blocks = m_blocks } in
   let mix = Ulib.mix_image ~rounds:mix_rounds in
   let h_call = Obs.Histogram.create () in
   let pc_interp =
@@ -2142,42 +1862,14 @@ let fastpath ?(json_dir = ".") ?(machine_iters = 200_000) ?(calls = 300)
     fastpath_calls_sample ~hist:h_call Cpu.Blocks ~image:mix ~export:"mix"
       ~calls
   in
-  let pc = { fp_workload = "protected-call"; fp_interp = pc_interp;
-             fp_blocks = pc_blocks } in
-  let null_calls = calls in
-  let nc_interp =
-    fastpath_calls_sample Cpu.Interp ~image:Ulib.null_image ~export:"null_fn"
-      ~calls:null_calls
-  in
-  let nc_blocks =
-    fastpath_calls_sample Cpu.Blocks ~image:Ulib.null_image ~export:"null_fn"
-      ~calls:null_calls
-  in
-  let nc = { fp_workload = "protected-null-call"; fp_interp = nc_interp;
-             fp_blocks = nc_blocks } in
-  let ws_interp, rps_interp =
-    fastpath_server_sample Cpu.Interp ~sim_calls ~requests
-  in
-  let ws_blocks, rps_blocks =
-    fastpath_server_sample Cpu.Blocks ~sim_calls ~requests
-  in
-  let ws = { fp_workload = "webserver-cgi"; fp_interp = ws_interp;
-             fp_blocks = ws_blocks } in
-  let rows = [ machine; pc; nc; ws ] in
+  let pc = { fp_interp = pc_interp; fp_blocks = pc_blocks } in
   Printf.printf
     "%-20s %12s %12s %9s %10s %10s %s\n" "fastpath" "interp(s)" "blocks(s)"
     "speedup" "interpMIPS" "blocksMIPS" "identical";
-  List.iter
-    (fun r ->
-      Printf.printf "%-20s %12.4f %12.4f %8.2fx %10.2f %10.2f %s\n"
-        r.fp_workload r.fp_interp.es_sec r.fp_blocks.es_sec (fp_speedup r)
-        (mips r.fp_interp) (mips r.fp_blocks)
-        (if fp_identical r then "yes" else "NO"))
-    rows;
-  if rps_interp <> rps_blocks then
-    Printf.printf
-      "webserver throughput DIVERGED: interp %.1f rps, blocks %.1f rps\n"
-      rps_interp rps_blocks;
+  Printf.printf "%-20s %12.4f %12.4f %8.2fx %10.2f %10.2f %s\n"
+    "protected-call" pc.fp_interp.es_sec pc.fp_blocks.es_sec (fp_speedup pc)
+    (mips pc.fp_interp) (mips pc.fp_blocks)
+    (if fp_identical pc then "yes" else "NO");
   let open Obs.Json in
   let sample_obj s =
     Obj
@@ -2193,228 +1885,20 @@ let fastpath ?(json_dir = ".") ?(machine_iters = 200_000) ?(calls = 300)
     [
       ( "rows",
         List
-          (List.map
-             (fun r ->
-               Obj
-                 [
-                   ("workload", String r.fp_workload);
-                   ("interp", sample_obj r.fp_interp);
-                   ("blocks", sample_obj r.fp_blocks);
-                   ("speedup", Float (fp_speedup r));
-                   ("identical", Bool (fp_identical r));
-                 ])
-             rows) );
-      ("webserver_rps_interp", Float rps_interp);
-      ("webserver_rps_blocks", Float rps_blocks);
-      ("webserver_rps_identical", Bool (rps_interp = rps_blocks));
-      ( "cache",
-        Obj
           [
-            ("blocks", Int cache.Bcache.bc_blocks);
-            ("lookups", Int cache.Bcache.bc_lookups);
-            ("hits", Int cache.Bcache.bc_hits);
-            ("invalidations", Int cache.Bcache.bc_invalidations);
-          ] );
-    ];
-  { fp_rows = rows; fp_machine = machine; fp_protected = pc; fp_cache = cache }
-
-(* --- Timeline: sampled time series, serial vs parallel ----------------- *)
-
-(* One world's timeline workload: batches of protected null calls plus
-   a web-server slice, with an {!Obs.Collector} sampling the world's
-   sink on simulated-cycle boundaries.  Each DES slice's simulated
-   duration is charged to the world CPU so sample boundaries track
-   offered load, and the collector is ticked explicitly at every batch
-   boundary — a short protected call retires fewer instructions than
-   the watchdog tick period and [User_ext.call] resets the tick
-   countdown per invocation, so the chained hook alone would starve.
-   Deterministic in the world index: same batches -> same cycle
-   stamps -> bit-identical sampled series, serial or parallel. *)
-let timeline_world ~collectors ~batches ~calls ~requests i =
-  let calls = calls + (i mod 3) in
-  let w = Palladium.boot () in
-  let app = Palladium.create_app w ~name:(Printf.sprintf "timeline%d" i) in
-  let ext = User_ext.seg_dlopen app Ulib.null_image in
-  let prepare = User_ext.seg_dlsym app ext "null_fn" in
-  let kcpu = Kernel.cpu (User_ext.kernel app) in
-  let c = collectors.(i) in
-  Telemetry.attach c kcpu;
-  let h_call = Obs.Histogram.get_or_create "fleet.call_cycles" in
-  let h_req = Obs.Histogram.get_or_create "fleet.request_usec" in
-  let served = ref 0 in
-  for _ = 1 to batches do
-    for _ = 1 to calls do
-      let marks = protected_null_call_marks app prepare in
-      let setup = find_mark marks ".setup" in
-      let body = find_mark marks ".body" in
-      let return = find_mark marks ".return" in
-      let done_ = find_mark marks "rt.done" in
-      Obs.Histogram.observe h_call (done_ - setup - (return - body))
-    done;
-    let stats =
-      Server.run ~concurrency:16 ~total:requests ~latency:h_req
-        ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
-        ~protected_call_usec:(usec_of_cycles 144) ()
-    in
-    served := !served + stats.Server.requests;
-    (* credit the slice's simulated duration to the world CPU *)
-    Cpu.charge kcpu (int_of_float (stats.Server.elapsed_usec *. mhz));
-    Obs.Collector.tick c ~now:(Cpu.cycles kcpu)
-  done;
-  Palladium.teardown w;
-  Telemetry.flush c kcpu;
-  (calls * batches, !served)
-
-(* Per-boundary bcache hit ratio from a sampled series: align the hit
-   and miss delta points by timestamp, keep boundaries with lookups. *)
-let bcache_ratios ts =
-  let deltas name =
-    List.filter_map
-      (fun p ->
-        match p.Obs.Timeseries.p_v with
-        | Obs.Timeseries.Counter { delta; _ } ->
-            Some (p.Obs.Timeseries.p_t, delta)
-        | _ -> None)
-      (Obs.Timeseries.points ts name)
-  in
-  let hits = deltas "bcache.hit" and misses = deltas "bcache.miss" in
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (t, d) -> Hashtbl.replace tbl t (d, 0)) hits;
-  List.iter
-    (fun (t, d) ->
-      let h = match Hashtbl.find_opt tbl t with Some (h, _) -> h | None -> 0 in
-      Hashtbl.replace tbl t (h, d))
-    misses;
-  List.map fst hits @ List.map fst misses
-  |> List.sort_uniq compare
-  |> List.filter_map (fun t ->
-         let h, m = Option.value ~default:(0, 0) (Hashtbl.find_opt tbl t) in
-         if h + m = 0 then None
-         else Some (t, h, m, float_of_int h /. float_of_int (h + m)))
-
-type timeline_outcome = {
-  tl_domains : int;
-  tl_worlds : int;
-  tl_deterministic : bool;
-      (* per-world sampled series bit-identical, serial vs parallel *)
-  tl_samples : int; (* points across all merged series *)
-  tl_first_ratio : float; (* bcache hit ratio of the first busy interval *)
-  tl_steady_ratio : float; (* aggregate ratio of every later interval *)
-}
-
-let tl_warmed o = o.tl_first_ratio < o.tl_steady_ratio
-
-(* Sampled-series bench: run the same fixed-batch fleet serially and
-   sharded over domains, each world under its own collector, and
-   compare the per-world time series point-for-point.  The artifact
-   carries the merged series plus the bcache warm-up headline: the
-   first busy interval absorbs every cold block translation (boot and
-   the first batch), so its hit ratio must sit strictly below the
-   steady state where the cache is warm. *)
-let timeline ?(json_dir = ".") ?(domains = 2) ?worlds ?(batches = 8)
-    ?(calls = 48) ?(requests = 160) ?(sample_ms = 10) () =
-  let worlds = match worlds with Some w -> w | None -> max domains 2 in
-  let every = max 1 sample_ms * Cycles.mhz * 1000 in
-  (* the warm-up headline needs bcache traffic, so pin the block engine
-     even when PALLADIUM_ENGINE overrides the default *)
-  with_engine Cpu.Blocks @@ fun () ->
-  let fresh () = Array.init worlds (fun _ -> Obs.Collector.create ~every ()) in
-  let cs_serial = fresh () and cs_par = fresh () in
-  let serial =
-    Fleet.run ~domains:1 ~worlds
-      (timeline_world ~collectors:cs_serial ~batches ~calls ~requests)
-  in
-  let par =
-    Fleet.run ~domains ~worlds
-      (timeline_world ~collectors:cs_par ~batches ~calls ~requests)
-  in
-  let series_json cs =
-    Array.to_list cs
-    |> List.map (fun c -> Obs.Timeseries.to_json (Obs.Collector.series c))
-  in
-  let deterministic =
-    Fleet.divergences serial par = []
-    && series_json cs_serial = series_json cs_par
-  in
-  let merged_ts = Obs.Collector.merged_series (Array.to_list cs_par) in
-  let samples =
-    List.fold_left
-      (fun acc n -> acc + Obs.Timeseries.length merged_ts n)
-      0
-      (Obs.Timeseries.names merged_ts)
-  in
-  let ratios = bcache_ratios merged_ts in
-  let first_ratio, steady_ratio =
-    match ratios with
-    | [] -> (0., 0.)
-    | (_, _, _, r0) :: rest ->
-        let h, m =
-          List.fold_left (fun (h, m) (_, h', m', _) -> (h + h', m + m')) (0, 0)
-            rest
-        in
-        (r0, if h + m = 0 then 0. else float_of_int h /. float_of_int (h + m))
-  in
-  Printf.printf
-    "timeline: %d worlds x %d batches, sampled every %d simulated ms (%d \
-     cycles)\n\
-     sampled series %s; %d points across %d merged series, %d busy bcache \
-     intervals\n\
-     bcache hit ratio: first interval %.4f -> steady state %.4f (%s)\n"
-    worlds batches sample_ms every
-    (if deterministic then "bit-identical to the serial run"
-     else "DIVERGED from the serial run")
-    samples
-    (List.length (Obs.Timeseries.names merged_ts))
-    (List.length ratios) first_ratio steady_ratio
-    (if first_ratio < steady_ratio then "cache warm-up visible"
-     else "NO warm-up visible");
-  let merged = Fleet.merged par in
-  Obs.Sink.with_sink merged (fun () ->
-      let open Obs.Json in
-      let h_call =
-        match Obs.Sink.find_histogram merged "fleet.call_cycles" with
-        | Some h -> h
-        | None -> Obs.Histogram.create ()
-      in
-      emit ~json_dir ~name:"timeline" ~since:[]
-        ~histogram:("fleet_call_cycles", h_call)
-        [
-          ("domains_requested", Int domains);
-          ("domains", Int par.Fleet.f_domains);
-          ("worlds", Int worlds);
-          ("batches", Int batches);
-          ("calls_per_batch", Int calls);
-          ("requests_per_batch", Int requests);
-          ("sample_every_ms", Int sample_ms);
-          ("sample_every_cycles", Int every);
-          ("deterministic", Bool deterministic);
-          ("samples", Int samples);
-          ( "warmup",
             Obj
               [
-                ("first_hit_ratio", Float first_ratio);
-                ("steady_hit_ratio", Float steady_ratio);
-                ("warmed", Bool (first_ratio < steady_ratio));
-                ("busy_intervals", Int (List.length ratios));
-              ] );
-          ("series", Obs.Timeseries.to_json merged_ts);
-        ]);
-  {
-    tl_domains = domains;
-    tl_worlds = worlds;
-    tl_deterministic = deterministic;
-    tl_samples = samples;
-    tl_first_ratio = first_ratio;
-    tl_steady_ratio = steady_ratio;
-  }
+                ("workload", String "protected-call");
+                ("interp", sample_obj pc.fp_interp);
+                ("blocks", sample_obj pc.fp_blocks);
+                ("speedup", Float (fp_speedup pc));
+                ("identical", Bool (fp_identical pc));
+              ];
+          ] );
+    ];
+  pc
 
 (* --- Driver ------------------------------------------------------------ *)
-
-let subcommands =
-  [
-    "table1"; "table2"; "table3"; "figure7"; "micro"; "ipc"; "ablation"; "sfi";
-    "backends"; "audit"; "fastpath"; "parallel"; "timeline"; "wcet";
-  ]
 
 (* Host-time floors of the parallel and fastpath subcommands.  A
    wall-clock ratio only means something on an idle host with a core
@@ -2435,27 +1919,26 @@ let check_floor ~what ~floor ratios =
     exit 1
   end
 
-(* Run the requested subset (everything when [args] is empty; bechamel
-   only when asked for by name, as in the original CLI). *)
+(* Run the requested subset (everything when [args] is empty; parallel
+   only when asked for by name). *)
 let run_main args =
   let want name = args = [] || List.mem name args in
   let palladium_cycles = ref 144 in
   if want "table1" then palladium_cycles := table1 ();
   if want "table2" then table2 ();
   if want "table3" then
-    table3 ~protected_call_usec:(usec_of_cycles !palladium_cycles) ();
+    table3 ~protected_call_usec:(Cycles.cycles_to_usec !palladium_cycles) ();
   if want "figure7" then figure7 ();
   if want "micro" then micro ();
   if want "ipc" then ipc_cmp ~palladium_cycles:!palladium_cycles ();
   if want "ablation" then ablation ();
   if want "sfi" then sfi ();
   if want "backends" then backends ();
-  if want "audit" then audit ();
   if want "fastpath" then
     check_floor ~what:"fastpath protected-call block-engine speedup" ~floor:3.0
-      (List.init gate_runs (fun _ -> fp_speedup (fastpath ()).fp_protected));
-  (* parallel spawns domains, so — like bechamel — it only runs when
-     asked for by name; `--domains N` / `--worlds N` tune the fleet. *)
+      (List.init gate_runs (fun _ -> fp_speedup (fastpath ())));
+  (* parallel spawns domains, so it only runs when asked for by name;
+     `--domains N` / `--worlds N` tune the fleet. *)
   let rec flag name = function
     | [] -> None
     | f :: v :: _ when f = name -> int_of_string_opt v
@@ -2478,12 +1961,4 @@ let run_main args =
     if (List.hd runs).par_domains >= 2 then
       check_floor ~what:"parallel fleet speedup" ~floor:1.3
         (List.map (fun o -> o.par_speedup) runs)
-  end;
-  (* timeline also spawns domains: named-only, same flags *)
-  if List.mem "timeline" args then
-    ignore
-      (timeline
-         ?domains:(flag "--domains" args)
-         ?worlds:(flag "--worlds" args)
-         ());
-  if List.mem "bechamel" args then bechamel ()
+  end

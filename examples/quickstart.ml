@@ -27,8 +27,7 @@ let () =
     match User_ext.call app ~prepare:bump ~arg:0 with
     | Ok (count, cycles) ->
         Printf.printf "protected call -> count=%d (%d cycles, %.2f usec)\n"
-          count cycles
-          (float_of_int cycles /. float_of_int Cycles.mhz)
+          count cycles (Cycles.cycles_to_usec cycles)
     | Error e -> Fmt.pr "call failed: %a\n" User_ext.pp_call_error e
   done;
 

@@ -20,7 +20,7 @@ let () =
   User_ext.poke_bytes app buf (Bytes.of_string "<html>hi</html>\000");
   let call_usec =
     match User_ext.call app ~prepare ~arg:buf with
-    | Ok (_, cycles) -> float_of_int cycles /. float_of_int Cycles.mhz
+    | Ok (_, cycles) -> Cycles.cycles_to_usec cycles
     | Error e -> Fmt.failwith "CGI call failed: %a" User_ext.pp_call_error e
   in
   Printf.printf

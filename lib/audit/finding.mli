@@ -19,10 +19,6 @@ val v : id:string -> subject -> ('a, Format.formatter, unit, t) format4 -> 'a
 (** [v ~id subject fmt ...] builds a finding with a formatted
     explanation. *)
 
-val subject_json : subject -> Obs.Json.t
-
 val to_json : t -> Obs.Json.t
-
-val pp_subject : subject Fmt.t
 
 val pp : t Fmt.t

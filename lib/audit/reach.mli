@@ -41,8 +41,4 @@ val analyse : Snapshot.t -> result
 val findings : result -> Finding.t list
 (** One [REACH-01] finding per distinct offending gate site. *)
 
-val pp_node : node Fmt.t
-
-val pp_path : edge list Fmt.t
-
 val result_json : result -> Obs.Json.t

@@ -6,17 +6,9 @@
     In-memory program encoding: 16 bytes per instruction, four
     little-endian u32 words [code; jt; jf; k]. *)
 
-val max_insns : int
-
-val max_packet : int
-
-val insn_slot_bytes : int
-
 val image : Image.t
 (** The interpreter module image (text + bpf_prog/bpf_pkt/bpf_mem
     data), exporting [bpf_run]. *)
-
-val encode_program : Bpf_insn.t array -> Bytes.t
 
 type t
 

@@ -24,8 +24,6 @@ type chk_item =
   | Ld of Bpf_insn.t
   | Chk of { cond : Bpf_insn.jmp_cond; k : int; fail_on_true : bool }
 
-val tcpdump_term : term -> chk_item list
-
 val to_bpf_tcpdump : t -> Bpf_insn.t array
 (** tcpdump-style compilation — what the paper's baseline actually
     ran: each primitive re-verifies its protocol prerequisites, and
@@ -34,7 +32,5 @@ val to_bpf_tcpdump : t -> Bpf_insn.t array
 
 val matches : t -> packet:Bytes.t -> bool
 (** Direct evaluation: the oracle both compilers are tested against. *)
-
-val pp_field : field Fmt.t
 
 val pp : t Fmt.t

@@ -69,5 +69,3 @@ let load t ~offset =
   | Kernel.Faulted f -> Error (Out_of_bounds f)
   | Kernel.Timed_out _ | Kernel.Out_of_fuel ->
       invalid_arg "Guard.load: unexpected outcome"
-
-let destroy t = DT.clear (User_ext.task t.app).Task.ldt t.ldt_index

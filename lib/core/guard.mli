@@ -26,6 +26,3 @@ val store : t -> offset:int -> value:int -> (unit, error) result
     CPU); offsets outside [0, size) fault in hardware. *)
 
 val load : t -> offset:int -> (int, error) result
-
-val destroy : t -> unit
-(** Remove the guard descriptor. *)

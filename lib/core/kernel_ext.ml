@@ -78,8 +78,6 @@ let aborts t = t.aborts
 
 let invocations t = t.invocations
 
-let eft t = t.eft
-
 let modules t = t.modules
 
 (* Pointer swizzling helpers (section 4.4.1 motivates why user level

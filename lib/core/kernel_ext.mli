@@ -44,17 +44,11 @@ val aborts : t -> int
 
 val invocations : t -> int
 
-val eft : t -> (string * int) list
-(** The Extension Function Table: ["module$function"] -> KPrepare
-    offset. *)
-
 val modules : t -> kmodule list
 
 (** {2 Pointer swizzling} *)
 
 val to_segment_offset : t -> int -> int
-
-val to_linear : t -> int -> int
 
 (** {2 Loading and invoking} *)
 

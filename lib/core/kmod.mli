@@ -17,8 +17,6 @@ val symbol : t -> string -> int
 (** Kernel-segment offset of a module symbol; raises
     {!Asm.Unresolved}. *)
 
-val symbol_linear : t -> string -> int
-
 val invoke :
   t -> Task.t -> fn:string -> arg:int -> Kernel.run_result * int * int
 (** Call a module function directly at CPL 0 (no protection boundary);

@@ -69,12 +69,6 @@ let create_backend_app ?backend w ~name =
   in
   User_ext.create ~backend w.kernel ~name
 
-(* A plain (non-Palladium) process at SPL 3. *)
-let create_plain_process w ~name =
-  let task = Kernel.create_task w.kernel ~name in
-  let rt = Runtime.install w.kernel task in
-  (task, rt)
-
 (* A kernel extension segment at SPL 1. *)
 let create_kernel_segment ?(size = Pconfig.kernel_ext_segment_bytes) w =
   let seg = Kernel_ext.create w.kernel ~size in

@@ -59,9 +59,6 @@ val create_backend_app :
 (** An extensible application behind the world's effective backend's
     boundary (or an explicit [?backend]'s). *)
 
-val create_plain_process : world -> name:string -> Task.t * Runtime.t
-(** An ordinary (non-Palladium) SPL 3 process. *)
-
 val create_kernel_segment : ?size:int -> world -> Kernel_ext.t
 (** A kernel extension segment at SPL 1 (default
     {!Pconfig.kernel_ext_segment_bytes}). *)

@@ -115,8 +115,6 @@ let syscall_exn ?a1 ?a2 ?a3 t ~number ~name =
 let invoke1 t ~fn ~arg =
   enter t ~entry:(sym t "rt$invoke1") ~regs:[ (Reg.EAX, fn); (Reg.EBX, arg) ]
 
-let invoke0 t ~fn = enter t ~entry:(sym t "rt$invoke0") ~regs:[ (Reg.EAX, fn) ]
-
 let guard_store t ~selector ~offset ~value =
   enter t ~entry:(sym t "rt$guard_store")
     ~regs:[ (Reg.ECX, selector); (Reg.EBX, offset); (Reg.EDX, value) ]

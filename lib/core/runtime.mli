@@ -40,8 +40,6 @@ val syscall_exn :
 val invoke1 : t -> fn:int -> arg:int -> outcome
 (** Call the function at [fn] with one stack argument. *)
 
-val invoke0 : t -> fn:int -> outcome
-
 val guard_store : t -> selector:int -> offset:int -> value:int -> outcome
 (** Store through a guard segment (ES override). *)
 

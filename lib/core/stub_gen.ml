@@ -106,17 +106,6 @@ let kernel_prepare spec ~arg_slot_addr ~transfer_addr =
     i Instr.Lret;
   ]
 
-(* Kernel-side Transfer, placed *inside* the extension segment (its
-   addresses are extension-segment offsets): call the extension
-   function locally, then return to the kernel through its gate. *)
-let kernel_transfer spec =
-  [
-    L (transfer_label spec);
-    i (Instr.Call (Instr.Abs spec.fn_addr));
-    i (Instr.Mark (spec.fn_name ^ ".return"));
-    i (Instr.Lcall spec.return_gate);
-  ]
-
 (* --- MPK backend ---------------------------------------------------- *)
 
 (* Inputs for one extension function's protection-key entry stub. *)

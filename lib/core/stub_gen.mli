@@ -21,8 +21,6 @@ type fn_stub_spec = {
 
 val prepare_label : fn_stub_spec -> string
 
-val transfer_label : fn_stub_spec -> string
-
 val prepare_transfer : fn_stub_spec -> Asm.program
 (** User-level Prepare + Transfer (both stubs share one program; the
     bases of application and extension segments coincide). *)
@@ -47,9 +45,6 @@ val kernel_prepare :
     lret.  [arg_slot_addr] is the argument slot as seen through the
     kernel's DS (base 3 GB), while [spec.ext_stack_ptr] remains the
     extension-segment-relative ESP. *)
-
-val kernel_transfer : fn_stub_spec -> Asm.program
-(** Kernel-side Transfer, placed inside the extension segment. *)
 
 (** Inputs for one extension function's protection-key entry stub. *)
 type mpk_stub_spec = {

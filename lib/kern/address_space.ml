@@ -33,10 +33,6 @@ let is_promoted t = t.spl2
 
 let is_mpk t = t.mpk_app_key <> 0
 
-let mpk_app_key t = t.mpk_app_key
-
-let marked_pages t = t.marked_pages
-
 let find_area t addr = List.find_opt (fun a -> Vm_area.contains a addr) t.areas
 
 let page_size = X86.Phys_mem.page_size

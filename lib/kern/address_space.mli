@@ -17,21 +17,9 @@ val is_mpk : t -> bool
 (** [true] after {!mpk_promote}: the space runs under the protection-
     key backend (flat segments, keys instead of PPLs). *)
 
-val mpk_app_key : t -> int
-(** The application's protection key (0 when not MPK-promoted). *)
-
-val marked_pages : t -> int
-(** Statistics: PPL/key-marking operations performed. *)
-
 val find_area : t -> int -> Vm_area.t option
 
 exception Overlap
-
-val add_area : t -> Vm_area.t -> unit
-(** Raises {!Overlap}. *)
-
-val default_ppl :
-  t -> perms:Vm_area.perms -> kind:Vm_area.kind -> X86.Privilege.page_level
 
 val map_area :
   t ->
@@ -43,8 +31,6 @@ val map_area :
   Vm_area.t
 (** Fixed-address mapping (page-rounded); PPL follows the promotion
     policy. *)
-
-val find_free : t -> len:int -> hint:int -> int
 
 val mmap :
   t ->
@@ -66,20 +52,12 @@ val demand_map : t -> addr:int -> access:X86.Fault.access -> bool
 val populate : t -> Vm_area.t -> unit
 (** Eagerly map every page of an area. *)
 
-val apply_ppl : t -> Vm_area.t -> X86.Privilege.page_level -> int
-(** Re-stamp an area's PPL; returns PTEs touched (for cycle
-    accounting).  Callers flush the TLB. *)
-
 val promote : t -> int
 (** init_PL's memory side: writable non-extension pages become
     supervisor.  Returns PTEs touched. *)
 
 val set_range :
   t -> addr:int -> len:int -> X86.Privilege.page_level -> (int, Errno.t) result
-
-val apply_key : t -> Vm_area.t -> int -> int
-(** Re-stamp an area's protection key; returns PTEs touched.  Unmapped
-    pages pick the key up at demand-map time.  Callers flush the TLB. *)
 
 val mpk_promote : t -> app_key:int -> int
 (** init_mpk's memory side: the MPK analogue of {!promote}.  Writable
@@ -99,8 +77,6 @@ val mprotect :
     construction). *)
 
 (** {2 Kernel-side byte access (bypasses the CPU, not the mapping)} *)
-
-val phys_of : t -> int -> int
 
 val poke_bytes : t -> int -> Bytes.t -> unit
 

@@ -15,8 +15,6 @@ type t =
   | ENOSYS
   | ETIME
 
-val to_code : t -> int
-
 val to_string : t -> string
 
 val to_ret : t -> int

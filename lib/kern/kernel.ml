@@ -91,21 +91,13 @@ let phys t = t.phys
 
 let console_contents t = Buffer.contents t.console
 
-let console_write t s = Buffer.add_string t.console s
-
 let watchdog t = t.watchdog
 
 let kernel_code_selector t = t.kcs
 
 let kernel_data_selector t = t.kds
 
-let user_code_selector t = t.ucs
-
 let user_data_selector t = t.uds
-
-let segv_log t = List.rev t.segv_log
-
-let kernel_ext_faults t = List.rev t.kernel_ext_faults
 
 let current t = t.current
 
@@ -572,16 +564,6 @@ let run t ?max_instrs () =
 
 (* --- User program loading ------------------------------------------ *)
 
-(* Map an assembled program's text into user space and store its
-   instructions; returns nothing — symbols are in [asm]. *)
-let map_user_text t (task : Task.t) (asm : Asm.assembled) =
-  let area =
-    Address_space.map_area task.Task.asp ~va_start:asm.Asm.org
-      ~len:(max asm.Asm.text_size page_size) ~perms:Vm_area.rx Vm_area.Text
-  in
-  Address_space.populate task.Task.asp area;
-  Code_mem.store_program t.code ~addr:asm.Asm.org asm.Asm.instrs
-
 let map_user_stack t (task : Task.t) ~pages =
   ignore t;
   let len = pages * page_size in
@@ -592,15 +574,6 @@ let map_user_stack t (task : Task.t) ~pages =
   in
   Address_space.populate task.Task.asp area;
   X86.Layout.stack_top (* initial ESP *)
-
-let map_user_data t (task : Task.t) ~addr ~len ~label =
-  ignore t;
-  let area =
-    Address_space.map_area task.Task.asp ~va_start:addr ~len ~perms:Vm_area.rw
-      ~label Vm_area.Data
-  in
-  Address_space.populate task.Task.asp area;
-  area
 
 (* --- Boot ------------------------------------------------------------ *)
 
@@ -751,12 +724,6 @@ let boot ?(params = Cycles.pentium) () =
   t
 
 let syscall_entry_offset t = t.syscall_entry
-
-let invoke_entry_offset t = t.invoke_entry
-
-let kernel_break t = t.kbrk
-
-let kernel_ext_break t = t.kext_brk
 
 (* Convenience used by tests and the Palladium runtime: run kernel
    code directly (CPL 0) at a given kernel-segment offset.  The CPU is

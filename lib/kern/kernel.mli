@@ -66,32 +66,19 @@ val phys : t -> X86.Phys_mem.t
 
 val console_contents : t -> string
 
-val console_write : t -> string -> unit
-
 val watchdog : t -> Watchdog.t
 
 val kernel_code_selector : t -> X86.Selector.t
 
 val kernel_data_selector : t -> X86.Selector.t
 
-val user_code_selector : t -> X86.Selector.t
-
 val user_data_selector : t -> X86.Selector.t
 
-val segv_log : t -> (int * Signal.info) list
-(** (pid, info) of every SIGSEGV delivered, oldest first. *)
-
-val kernel_ext_faults : t -> string list
-
 val current : t -> Task.t option
-
-val current_exn : t -> Task.t
 
 val find_task : t -> int -> Task.t option
 
 val syscall_entry_offset : t -> int
-
-val invoke_entry_offset : t -> int
 
 (** {2 Kernel memory} *)
 
@@ -106,20 +93,10 @@ val kalloc_ext : t -> bytes:int -> int
     extension segments must lie inside.  Raises {!Panic} when the
     region is exhausted. *)
 
-val kernel_break : t -> int
-(** Next free kernel-core linear address. *)
-
-val kernel_ext_break : t -> int
-(** Next free kernel-extension linear address. *)
-
 val koffset : int -> int
 (** Kernel-segment offset of a kernel linear address. *)
 
 val klinear : int -> int
-
-val kstore_program : t -> linear:int -> Instr.t array -> unit
-
-val kphys : t -> int -> int
 
 val kpoke_u32 : t -> int -> int -> unit
 
@@ -142,24 +119,13 @@ val exec_task : t -> Task.t -> unit
 
 val sys_fork : t -> Syscall.context -> int
 
-val sys_exec : t -> Syscall.context -> int
-
-val reg_syscall : t -> number:int -> name:string -> Syscall.fn -> unit
-
 (** {2 Running code} *)
 
 val view_for : t -> Task.t -> X86.Desc_table.view
 
-val switch_to : t -> Task.t -> unit
-(** Make [task] current; re-entering the current task does not reload
-    CR3 (no TLB flush). *)
-
 val enter_user : t -> Task.t -> eip:int -> esp:int -> unit
 (** Place the CPU in user mode using the task's current user segments
     (DPL 3 before promotion, the DPL 2 LDT segments after). *)
-
-val enter_kernel : t -> Task.t -> entry_offset:int -> unit
-(** Run kernel code at CPL 0 on the task's kernel stack. *)
 
 type run_result =
   | Completed
@@ -176,9 +142,5 @@ val kernel_invoke :
 
 (** {2 User program loading helpers} *)
 
-val map_user_text : t -> Task.t -> Asm.assembled -> unit
-
 val map_user_stack : t -> Task.t -> pages:int -> int
 (** Returns the initial ESP. *)
-
-val map_user_data : t -> Task.t -> addr:int -> len:int -> label:string -> Vm_area.t

@@ -44,5 +44,3 @@ let deliver state info =
   | None -> false
 
 let delivered state = List.rev state.delivered
-
-let clear_delivered state = state.delivered <- []

@@ -27,5 +27,3 @@ val deliver : state -> info -> bool
 
 val delivered : state -> info list
 (** All deliveries, oldest first. *)
-
-val clear_delivered : state -> unit

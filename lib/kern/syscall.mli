@@ -45,8 +45,6 @@ val create_table : unit -> table
 
 val register : table -> number:int -> name:string -> fn -> unit
 
-val name_of : table -> int -> string option
-
 val dispatch : table -> context -> int -> int
 (** Dispatch with the paper's taskSPL check: SPL 3 callers of a
     promoted (taskSPL = 2) process get EPERM — extensions must go

@@ -10,8 +10,6 @@ let ro = { pr = true; pw = false; px = false }
 
 let rx = { pr = true; pw = false; px = true }
 
-let rwx = { pr = true; pw = true; px = true }
-
 type kind =
   | Text
   | Data

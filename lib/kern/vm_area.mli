@@ -9,8 +9,6 @@ val ro : perms
 
 val rx : perms
 
-val rwx : perms
-
 type kind =
   | Text
   | Data

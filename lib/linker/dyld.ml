@@ -55,8 +55,6 @@ let page_size = X86.Phys_mem.page_size
 
 let got_symbol name = "got$" ^ name
 
-let plt_symbol name = "plt$" ^ name
-
 (* PLT stubs: one jmp-through-GOT slot per import, appended to the
    image text under the import's own name so intra-image calls resolve
    to the stub directly. *)
@@ -260,9 +258,6 @@ let dlsym handle name =
   match Hashtbl.find_opt handle.h_symbols name with
   | Some (addr, _) -> addr
   | None -> raise (Missing_symbol name)
-
-let dlsym_opt handle name =
-  Option.map fst (Hashtbl.find_opt handle.h_symbols name)
 
 let dlclose ~(kernel : Kernel.t) ~(task : Task.t) ~env handle =
   if Obs.Trace.on () then

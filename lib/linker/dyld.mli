@@ -13,8 +13,6 @@ type env
 
 val create_env : unit -> env
 
-val define : env -> string -> int -> sym_kind -> unit
-
 val lookup : env -> string -> (int * sym_kind) option
 
 exception Missing_symbol of string
@@ -35,17 +33,11 @@ type placement = {
   text_addr : int option;
 }
 
-val shared_library : placement
-
 val executable : placement
 (** Fixed load at the classic text base. *)
 
 val extension_segment : placement
 (** Ext_code/Ext_data areas (PPL 1 under a promoted application). *)
-
-val got_symbol : string -> string
-
-val plt_symbol : string -> string
 
 val dlopen :
   ?placement:placement ->
@@ -60,8 +52,6 @@ val dlopen :
 
 val dlsym : handle -> string -> int
 (** Raises {!Missing_symbol}. *)
-
-val dlsym_opt : handle -> string -> int option
 
 val dlclose : kernel:Kernel.t -> task:Task.t -> env:env -> handle -> unit
 (** Unmap the image's areas (flushing the TLB) and retract its

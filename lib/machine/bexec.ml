@@ -135,7 +135,7 @@ let reader regs = function
   | Operand.Mem _ | Operand.Sym _ -> None
 
 (* Specialized condition test over a captured flags record; mirrors
-   {!Cpu.cond_holds} arm for arm. *)
+   the interpreter's [cond_holds] in cpu.ml arm for arm. *)
 let cond_test (fl : Cpu.flags) = function
   | Instr.Eq -> fun () -> fl.Cpu.zf
   | Instr.Ne -> fun () -> not fl.Cpu.zf

@@ -214,8 +214,6 @@ let set_halted t v = t.halted <- v
 
 let view t = t.view
 
-let set_view t v = t.view <- v
-
 let tss t = t.tss
 
 let mmu t = t.mmu
@@ -1022,11 +1020,3 @@ let fetch_translate t linear =
   ignore (translate t ~access:F.Execute linear Instr.size)
 
 let exec_instr = exec
-
-let pp_state ppf t =
-  Fmt.pf ppf "@[<v>eip=%#x cpl=%a cycles=%d@,cs=%a@,ds=%a@,ss=%a@,regs:"
-    t.eip P.pp (cpl t) t.cycles Seg.pp t.cs Seg.pp t.ds Seg.pp t.ss;
-  List.iter
-    (fun r -> Fmt.pf ppf " %a=%#x" Reg.pp r (get_reg t r))
-    Reg.all;
-  Fmt.pf ppf "@]"

@@ -52,8 +52,6 @@ val set_halted : t -> bool -> unit
 
 val view : t -> X86.Desc_table.view
 
-val set_view : t -> X86.Desc_table.view -> unit
-
 val tss : t -> Tss.t
 
 val mmu : t -> X86.Mmu.t
@@ -66,8 +64,6 @@ val seg_reg : t -> Reg.sreg -> X86.Segmentation.loaded
 
 val force_seg : t -> Reg.sreg -> X86.Segmentation.loaded -> unit
 (** Set a segment register without checks (boot / task-switch only). *)
-
-val null_loaded : X86.Segmentation.loaded
 
 (** {2 Phase marks (cycle attribution)} *)
 
@@ -120,10 +116,6 @@ val read_mem : t -> X86.Segmentation.loaded -> offset:int -> size:int -> int
 val write_mem :
   t -> X86.Segmentation.loaded -> offset:int -> size:int -> int -> unit
 
-val push_u32 : t -> int -> unit
-
-val pop_u32 : t -> int
-
 (** {2 Execution} *)
 
 val step : t -> unit
@@ -168,8 +160,6 @@ val regs_array : t -> int array
     per operand.  Values stored through it must already be masked to
     32 bits. *)
 
-val cond_holds : t -> Instr.cond -> bool
-
 val tracing : t -> bool
 
 val on_instr : t -> (t -> unit) option
@@ -213,5 +203,3 @@ val save_state : t -> saved_state
 val restore_state : t -> saved_state -> unit
 
 val switch_task : t -> view:X86.Desc_table.view -> tss:Tss.t -> unit
-
-val pp_state : t Fmt.t

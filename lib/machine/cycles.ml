@@ -107,8 +107,4 @@ let theoretical_lcall_pl_change p = p.lcall_gate_pl_change
 
 let theoretical_lret_pl_change p = p.lret_pl_change
 
-let measured_lcall_pl_change p = p.lcall_gate_pl_change + p.lcall_hazard
-
-let measured_lret_pl_change p = p.lret_pl_change + p.lret_hazard
-
 let measured_mov_sreg p = p.mov_sreg + p.mov_sreg_hazard

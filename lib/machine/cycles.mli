@@ -50,8 +50,4 @@ val theoretical_lcall_pl_change : params -> int
 
 val theoretical_lret_pl_change : params -> int
 
-val measured_lcall_pl_change : params -> int
-
-val measured_lret_pl_change : params -> int
-
 val measured_mov_sreg : params -> int

@@ -5,9 +5,8 @@
    Faults raised by the protection hardware are terse; extension
    authors need them translated into which *Palladium boundary* was
    crossed and what to do about it.  [explain_fault] produces that
-   translation, [dump_state] a post-mortem of the CPU, and
-   [trace_listing] a disassembly of the last instructions executed
-   (enable with [Cpu.set_tracing]). *)
+   translation and [trace_listing] a disassembly of the last
+   instructions executed (enable with [Cpu.set_tracing]). *)
 
 module F = X86.Fault
 module P = X86.Privilege
@@ -80,10 +79,6 @@ let trace_listing ?(n = 16) cpu =
   match lines with
   | [] -> "  (tracing disabled: Cpu.set_tracing cpu true)"
   | _ -> String.concat "\n" lines
-
-let dump_state cpu =
-  Fmt.str "@[<v>%a@,last instructions:@,%s@]" Cpu.pp_state cpu
-    (trace_listing cpu)
 
 (* Disassemble a code range (for inspecting generated stubs). *)
 let disassemble cpu ~addr ~count =

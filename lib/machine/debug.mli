@@ -1,6 +1,6 @@
 (** Segmentation-aware debugging aids (paper section 6): translate
-    hardware faults into the Palladium boundary that was crossed,
-    dump CPU state and disassemble generated stubs. *)
+    hardware faults into the Palladium boundary that was crossed and
+    disassemble executed instructions and generated stubs. *)
 
 val explain_fault : cpl:X86.Privilege.ring -> X86.Fault.t -> string
 (** The fault, its vector, and which extension-protection boundary it
@@ -9,8 +9,6 @@ val explain_fault : cpl:X86.Privilege.ring -> X86.Fault.t -> string
 val trace_listing : ?n:int -> Cpu.t -> string
 (** The last [n] executed instructions (requires
     [Cpu.set_tracing cpu true]). *)
-
-val dump_state : Cpu.t -> string
 
 val disassemble : Cpu.t -> addr:int -> count:int -> string
 (** Listing of [count] instruction slots starting at linear [addr]. *)

@@ -9,10 +9,6 @@
     series deterministic: bit-identical between serial and parallel
     fleet runs of the same world. *)
 
-val default_every : int
-(** Tick period (instructions) installed when the CPU had no tick
-    callback; when one exists its period is kept. *)
-
 val attach : Obs.Collector.t -> Cpu.t -> unit
 (** Chain [collector] onto [cpu]'s tick.  Attach after the world is
     booted (so the watchdog hook is already in place) and attach a

@@ -66,5 +66,3 @@ let directory t = t.dir
 let set_directory t dir = t.dir <- dir
 
 let ldt t = t.ldt
-
-let set_ldt t ldt = t.ldt <- ldt

@@ -27,5 +27,3 @@ val directory : t -> X86.Paging.dir
 val set_directory : t -> X86.Paging.dir -> unit
 
 val ldt : t -> X86.Desc_table.t option
-
-val set_ldt : t -> X86.Desc_table.t option -> unit

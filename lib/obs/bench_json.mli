@@ -12,10 +12,6 @@ val measurement :
   ?stddev:float -> ?paper:Json.t -> Json.t -> Json.t
 (** [{"measured": v; "stddev": s?; "paper": p?}]. *)
 
-val histogram_block : metric:string -> Histogram.t -> Json.t
-(** The ["histogram"] field: the histogram's summary and buckets,
-    tagged with the name of the primary metric it describes. *)
-
 val document :
   name:string ->
   ?since:(string * int) list ->

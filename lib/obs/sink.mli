@@ -25,8 +25,6 @@ val label : t -> string
 
 val current : unit -> t
 
-val set_current : t -> unit
-
 val with_sink : t -> (unit -> 'a) -> 'a
 
 (** {2 Reading a sink}

@@ -56,15 +56,10 @@ val length : unit -> int
 val open_depth : unit -> int
 (** Number of currently open (unfinished) spans. *)
 
-val current_id : unit -> int option
-(** Id of the innermost open span. *)
-
 val unbalanced : unit -> int
 (** Value of the [obs.span.unbalanced] counter. *)
 
 val clear : unit -> unit
 (** Drop all spans, open and completed (does not touch histograms). *)
-
-val pp_span : Format.formatter -> completed -> unit
 
 val dump : Format.formatter -> unit -> unit

@@ -13,21 +13,8 @@ type mode =
 
 type region = { base : int; size : int }
 
-val check_region : region -> unit
-(** Raises [Invalid_argument] unless [size] is a power of two and
-    [base] is size-aligned. *)
-
-val mask : region -> int
-
 val scratch : Reg.t
 (** The register spilled around each guarded access. *)
-
-val scratch2 : Reg.t
-(** Fallback scratch when the guarded instruction reads {!scratch}. *)
-
-val rewrite_instr : policy -> region -> Instr.t -> Asm.item list
-(** Raises [Invalid_argument] on indirect control flow (not
-    sandboxable in this scheme) and on [xchg mem, mem]. *)
 
 val rewrite_program :
   ?mode:mode ->

@@ -188,11 +188,6 @@ let entry_blocks t ~entries =
   let found = List.sort_uniq compare found in
   if found = [] && n_blocks t > 0 then [ 0 ] else found
 
-(* Blocks entered by internal near calls anywhere in the text: analysed
-   as extra entry points (with an unconstrained argument). *)
-let call_entry_blocks t =
-  Array.fold_left (fun acc b -> List.rev_append b.b_calls acc) [] t.blocks |> List.sort_uniq compare
-
 (* Iterative three-colour DFS over jump *and* call edges from the given
    roots.  Returns the reachability map and the back edges found (a
    back edge closes a cycle; via a call edge it witnesses recursion). *)

@@ -61,10 +61,6 @@ val entry_blocks : t -> entries:string list -> int list
 (** Entry blocks for the given exported symbols; falls back to block 0
     when no entry resolves, so a program is never vacuously accepted. *)
 
-val call_entry_blocks : t -> int list
-(** Blocks entered by internal near calls anywhere in the text:
-    analysed as extra entry points (with an unconstrained argument). *)
-
 val dfs : t -> roots:int list -> bool array * (int * int) list
 (** Iterative three-colour DFS over jump {e and} call edges from the
     given roots.  Returns the reachability map and the back edges found

@@ -77,13 +77,9 @@ val ok : report -> bool
 
 val errors : report -> diag list
 
-val check_name : check -> string
-
 val class_name : access_class -> string
 
 val count_class : report -> access_class -> int
-
-val pp_diag : Format.formatter -> diag -> unit
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -29,8 +29,6 @@ type seg = {
 
 type t = seg
 
-val max_limit : int
-
 val code :
   ?conforming:bool ->
   ?readable:bool ->

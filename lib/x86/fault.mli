@@ -41,8 +41,6 @@ val vector : t -> int
 
 val is_page_fault : t -> bool
 
-val pp_access : access Fmt.t
-
 val pp : t Fmt.t
 
 val to_string : t -> string

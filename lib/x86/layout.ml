@@ -40,8 +40,6 @@ let gdt_user_code = 3
 
 let gdt_user_data = 4
 
-let gdt_first_free = 8
-
 let is_user_address a = a >= user_base && a <= user_limit
 
 let is_kernel_address a = a >= kernel_base && a <= address_space_top

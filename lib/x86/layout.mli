@@ -4,8 +4,6 @@ val page_size : int
 
 val gb : int
 
-val user_base : int
-
 val user_limit : int
 (** Highest valid offset of the 0-3 GByte user segments. *)
 
@@ -13,8 +11,6 @@ val kernel_base : int
 
 val kernel_limit : int
 (** Limit of the kernel segments (base 3 GB, 1 GB long). *)
-
-val address_space_top : int
 
 val text_base : int
 
@@ -36,8 +32,6 @@ val gdt_kernel_data : int
 val gdt_user_code : int
 
 val gdt_user_data : int
-
-val gdt_first_free : int
 
 val is_user_address : int -> bool
 

@@ -28,9 +28,6 @@ val set_pkru : t -> int -> unit
 val key_ad : int -> int
 (** Access-disable PKRU mask for a key. *)
 
-val key_wd : int -> int
-(** Write-disable PKRU mask for a key. *)
-
 val page_walks : t -> int
 
 (** Per-instance event tallies — page walks and page faults broken
@@ -48,9 +45,6 @@ type stats = {
 val stats : t -> stats
 
 val reset_stats : t -> unit
-
-val user_mode : Privilege.ring -> bool
-(** Only ring 3 runs with user-mode page privileges. *)
 
 type translation = { phys_addr : int; walked : bool }
 

@@ -161,11 +161,3 @@ let clone t =
       map fresh ~key:pte.key ~vpn ~pfn:pte.pfn ~writable:pte.writable
         ~user:pte.user);
   fresh
-
-let pp_pte ppf pte =
-  Fmt.pf ppf "pfn=%#x%s%s%s%s%s" pte.pfn
-    (if pte.writable then " w" else " ro")
-    (if pte.user then " user" else " sup")
-    (if pte.accessed then " A" else "")
-    (if pte.dirty then " D" else "")
-    (if pte.key <> 0 then Printf.sprintf " key=%d" pte.key else "")

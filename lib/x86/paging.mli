@@ -1,8 +1,6 @@
 (** Two-level page tables; the entry's user/supervisor bit is the
     paper's PPL (user = PPL 1). *)
 
-val entries_per_table : int
-
 val vpn_of_linear : int -> int
 
 val linear_of_vpn : int -> int
@@ -62,5 +60,3 @@ val iter : dir -> (int -> pte -> unit) -> unit
 
 val clone : dir -> dir
 (** Copy all mappings (fork); PPL bits are inherited verbatim. *)
-
-val pp_pte : pte Fmt.t

@@ -35,8 +35,6 @@ let create ?(first_frame = 0x100) () =
     writes = 0;
   }
 
-let frame_count t = t.allocated
-
 let alloc_frame t =
   let pfn = t.next_frame in
   t.next_frame <- t.next_frame + 1;
@@ -50,8 +48,6 @@ let free_frame t pfn =
     Hashtbl.remove t.frames pfn;
     t.allocated <- t.allocated - 1;
     Obs.Counters.add c_frames (-1))
-
-let frame_exists t pfn = Hashtbl.mem t.frames pfn
 
 let backing t pfn =
   match Hashtbl.find_opt t.frames pfn with
@@ -121,8 +117,6 @@ let write_bytes t addr src =
   Obs.Counters.add c_writes len;
   chunked addr len (fun ~dst_off ~pfn ~off ~chunk ->
       Bytes.blit src dst_off (backing t pfn) off chunk)
-
-let write_string t addr s = write_bytes t addr (Bytes.of_string s)
 
 type stats = { stat_reads : int; stat_writes : int; stat_frames : int }
 

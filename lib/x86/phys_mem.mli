@@ -10,14 +10,10 @@ type t
 
 val create : ?first_frame:int -> unit -> t
 
-val frame_count : t -> int
-
 val alloc_frame : t -> int
 (** Allocate a fresh zeroed frame; returns its frame number. *)
 
 val free_frame : t -> int -> unit
-
-val frame_exists : t -> int -> bool
 
 val read_u8 : t -> int -> int
 (** Physical read; raises [Invalid_argument] on an unbacked frame
@@ -36,8 +32,6 @@ val write_u32 : t -> int -> int -> unit
 val read_bytes : t -> int -> int -> Bytes.t
 
 val write_bytes : t -> int -> Bytes.t -> unit
-
-val write_string : t -> int -> string -> unit
 
 type stats = { stat_reads : int; stat_writes : int; stat_frames : int }
 

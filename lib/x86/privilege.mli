@@ -31,8 +31,6 @@ type page_level = Supervisor | User
 val default_page_level : ring -> page_level
 (** PPL 0 for segments at SPL 0..2, PPL 1 for SPL 3 (paper section 3.1). *)
 
-val page_level_to_int : page_level -> int
-
 val may_access_page : ring -> page_level -> bool
 (** The x86 user/supervisor page check. *)
 

@@ -223,22 +223,108 @@ let prop_sampled_series_determinism =
       Fleet.values serial = Fleet.values par
       && series cs_serial = series cs_par)
 
-let test_fleet_sampled_4worlds () =
-  (* the ISSUE's canonical shape: 4 worlds over 2 domains, merged
-     series identical to the serial merge *)
-  let fresh () = Array.init 4 (fun _ -> Obs.Collector.create ~every:100 ()) in
+(* A real world under the same sampling: batches of warm protected null
+   calls, each followed by a web-server slice whose simulated duration
+   is charged to the world CPU, with the collector ticked at every batch
+   boundary (a short protected call retires fewer instructions than the
+   CPU tick period, so the chained tick alone would starve). *)
+let palladium_sampled_world ~collectors i =
+  let w = Palladium.boot () in
+  let app = Palladium.create_app w ~name:(Printf.sprintf "ts%d" i) in
+  let ext = User_ext.seg_dlopen app Ulib.null_image in
+  let prepare = User_ext.seg_dlsym app ext "null_fn" in
+  let cpu = Kernel.cpu (User_ext.kernel app) in
+  let co = collectors.(i) in
+  Telemetry.attach co cpu;
+  let h_req = H.get_or_create "test.fleet.request_usec" in
+  for _ = 1 to 4 do
+    for _ = 1 to 12 + (i mod 3) do
+      ignore (User_ext.call app ~prepare ~arg:1)
+    done;
+    let stats =
+      Server.run ~concurrency:16 ~total:64 ~latency:h_req
+        ~invocation:Cgi_model.Libcgi_protected ~bytes:2048
+        ~protected_call_usec:(Cycles.cycles_to_usec 144) ()
+    in
+    Cpu.charge cpu (Cycles.usec_to_cycles stats.Server.elapsed_usec);
+    Obs.Collector.tick co ~now:(Cpu.cycles cpu)
+  done;
+  Palladium.teardown w;
+  Telemetry.flush co cpu
+
+(* Run [world] on 4 worlds serially and over 2 domains, each world under
+   its own collector; the world sinks and both the per-world and the
+   merged sampled series must be identical.  Returns the parallel run's
+   merged series. *)
+let sampled_4worlds ~every world =
+  let fresh () = Array.init 4 (fun _ -> Obs.Collector.create ~every ()) in
   let cs_serial = fresh () and cs_par = fresh () in
-  ignore
-    (Fleet.run ~domains:1 ~worlds:4
-       (sampled_world ~collectors:cs_serial ~seed:7 ~steps:60));
-  ignore
-    (Fleet.run ~domains:2 ~worlds:4
-       (sampled_world ~collectors:cs_par ~seed:7 ~steps:60));
+  let serial = Fleet.run ~domains:1 ~worlds:4 (world ~collectors:cs_serial) in
+  let par = Fleet.run ~domains:2 ~worlds:4 (world ~collectors:cs_par) in
+  Alcotest.(check (list (pair int string))) "no divergences" []
+    (Fleet.divergences serial par);
+  let per_world cs =
+    Array.to_list cs
+    |> List.map (fun co -> Obs.Timeseries.to_json (Obs.Collector.series co))
+  in
   let merged cs = Obs.Collector.merged_series (Array.to_list cs) in
-  Alcotest.(check bool)
-    "merged sampled series identical" true
+  check_bool "per-world sampled series identical" true
+    (per_world cs_serial = per_world cs_par);
+  check_bool "merged sampled series identical" true
     (Obs.Timeseries.to_json (merged cs_serial)
-    = Obs.Timeseries.to_json (merged cs_par))
+    = Obs.Timeseries.to_json (merged cs_par));
+  merged cs_par
+
+(* Block-cache hit ratio of the first busy sample interval, and of every
+   later one together. *)
+let bcache_warmup ts =
+  let deltas name =
+    List.filter_map
+      (fun p ->
+        match p.Obs.Timeseries.p_v with
+        | Obs.Timeseries.Counter { delta; _ } ->
+            Some (p.Obs.Timeseries.p_t, delta)
+        | _ -> None)
+      (Obs.Timeseries.points ts name)
+  in
+  let hits = deltas "bcache.hit" and misses = deltas "bcache.miss" in
+  let at l t = Option.value (List.assoc_opt t l) ~default:0 in
+  let busy =
+    List.sort_uniq compare (List.map fst hits @ List.map fst misses)
+    |> List.filter_map (fun t ->
+           let h = at hits t and m = at misses t in
+           if h + m = 0 then None else Some (h, m))
+  in
+  let ratio (h, m) = float_of_int h /. float_of_int (h + m) in
+  match busy with
+  | [] -> Alcotest.fail "no busy bcache interval"
+  | first :: rest ->
+      let sum (h, m) (h', m') = (h + h', m + m') in
+      (ratio first, ratio (List.fold_left sum (0, 0) rest))
+
+let test_fleet_sampled_4worlds () =
+  ignore (sampled_4worlds ~every:100 (sampled_world ~seed:7 ~steps:60));
+  (* real worlds, with the block engine pinned so the block cache sees
+     traffic under any PALLADIUM_ENGINE: the first busy interval takes
+     every cold translation, so its hit ratio sits below the steady
+     state's *)
+  let saved = Bexec.get_default_engine () in
+  Bexec.set_default_engine Cpu.Blocks;
+  let ts =
+    Fun.protect
+      ~finally:(fun () -> Bexec.set_default_engine saved)
+      (fun () ->
+        sampled_4worlds ~every:(10 * Cycles.mhz * 1000) palladium_sampled_world)
+  in
+  let first, steady = bcache_warmup ts in
+  if not (first < steady) then
+    Alcotest.failf "no bcache warm-up: first %.4f, steady %.4f" first steady;
+  let points =
+    List.fold_left
+      (fun n name -> n + Obs.Timeseries.length ts name)
+      0 (Obs.Timeseries.names ts)
+  in
+  if points < 4 * 4 then Alcotest.failf "only %d sampled points" points
 
 (* --- Atomic ID allocators across domains ------------------------------- *)
 
