@@ -30,8 +30,6 @@ let boot_app () =
   let app = Palladium.create_app w ~name:"bench" in
   (w, app)
 
-let marks_of cpu = Cpu.marks cpu
-
 let find_mark marks suffix =
   match
     List.find_opt (fun (n, _) -> Filename.check_suffix n suffix) marks
@@ -46,7 +44,7 @@ let protected_null_call_marks app prepare =
   (match User_ext.call app ~prepare ~arg:1 with
   | Ok _ -> ()
   | Error e -> Fmt.failwith "protected call failed: %a" User_ext.pp_call_error e);
-  marks_of cpu
+  Cpu.marks cpu
 
 type t1 = {
   t1_setup : int;
@@ -91,7 +89,7 @@ let measure_intra () =
     (match User_ext.call_unprotected app ~fn ~arg:1 with
     | Ok _ -> ()
     | Error e -> Fmt.failwith "intra call failed: %a" User_ext.pp_call_error e);
-    marks_of cpu
+    Cpu.marks cpu
   in
   ignore (probe ());
   let marks = probe () in
@@ -1919,46 +1917,72 @@ let check_floor ~what ~floor ratios =
     exit 1
   end
 
-(* Run the requested subset (everything when [args] is empty; parallel
-   only when asked for by name). *)
+let value_flags = [ "--domains"; "--worlds"; "--specimens"; "--seed"; "--packets" ]
+
+let rec flag name = function
+  | [] -> None
+  | f :: v :: _ when f = name -> int_of_string_opt v
+  | _ :: rest -> flag name rest
+
+(* The subcommands in run order; the value flags tune soundness, wcet
+   and parallel. *)
+let subcommands args =
+  let flag name = flag name args in
+  let cycles = ref 144 in
+  [
+    ("table1", fun () -> cycles := table1 ());
+    ("table2", fun () -> table2 ());
+    ( "table3",
+      fun () -> table3 ~protected_call_usec:(Cycles.cycles_to_usec !cycles) () );
+    ("figure7", fun () -> figure7 ());
+    ("micro", fun () -> micro ());
+    ("ipc", fun () -> ipc_cmp ~palladium_cycles:!cycles ());
+    ("ablation", fun () -> ablation ());
+    ("sfi", fun () -> sfi ());
+    ("backends", fun () -> backends ());
+    ( "fastpath",
+      fun () ->
+        check_floor ~what:"fastpath protected-call block-engine speedup"
+          ~floor:3.0
+          (List.init gate_runs (fun _ -> fp_speedup (fastpath ()))) );
+    ( "soundness",
+      fun () ->
+        ignore
+          (soundness ?specimens:(flag "--specimens") ?seed:(flag "--seed") ()) );
+    ("wcet", fun () -> ignore (wcet ?packets:(flag "--packets") ()));
+    ( "parallel",
+      fun () ->
+        let runs =
+          List.init gate_runs (fun _ ->
+              parallel ?domains:(flag "--domains") ?worlds:(flag "--worlds") ())
+        in
+        (* a speedup needs at least two cores to run on *)
+        if (List.hd runs).par_domains >= 2 then
+          check_floor ~what:"parallel fleet speedup" ~floor:1.3
+            (List.map (fun o -> o.par_speedup) runs) );
+  ]
+
+let subcommand_names = List.map fst (subcommands [])
+
+(* The first argument that is neither a subcommand nor a value flag
+   followed by its value. *)
+let rec unknown_arg = function
+  | [] -> None
+  | f :: _ :: rest when List.mem f value_flags -> unknown_arg rest
+  | a :: rest when List.mem a subcommand_names -> unknown_arg rest
+  | a :: _ -> Some a
+
+(* Run the requested subset: everything but parallel, which spawns
+   domains, when [args] names no subcommand.  Every argument is checked
+   before anything runs. *)
 let run_main args =
-  let want name = args = [] || List.mem name args in
-  let palladium_cycles = ref 144 in
-  if want "table1" then palladium_cycles := table1 ();
-  if want "table2" then table2 ();
-  if want "table3" then
-    table3 ~protected_call_usec:(Cycles.cycles_to_usec !palladium_cycles) ();
-  if want "figure7" then figure7 ();
-  if want "micro" then micro ();
-  if want "ipc" then ipc_cmp ~palladium_cycles:!palladium_cycles ();
-  if want "ablation" then ablation ();
-  if want "sfi" then sfi ();
-  if want "backends" then backends ();
-  if want "fastpath" then
-    check_floor ~what:"fastpath protected-call block-engine speedup" ~floor:3.0
-      (List.init gate_runs (fun _ -> fp_speedup (fastpath ())));
-  (* parallel spawns domains, so it only runs when asked for by name;
-     `--domains N` / `--worlds N` tune the fleet. *)
-  let rec flag name = function
-    | [] -> None
-    | f :: v :: _ when f = name -> int_of_string_opt v
-    | _ :: rest -> flag name rest
-  in
-  if want "soundness" then
-    ignore
-      (soundness
-         ?specimens:(flag "--specimens" args)
-         ?seed:(flag "--seed" args)
-         ());
-  if want "wcet" then ignore (wcet ?packets:(flag "--packets" args) ());
-  if List.mem "parallel" args then begin
-    let runs =
-      List.init gate_runs (fun _ ->
-          parallel ?domains:(flag "--domains" args)
-            ?worlds:(flag "--worlds" args) ())
-    in
-    (* a speedup needs at least two cores to run on *)
-    if (List.hd runs).par_domains >= 2 then
-      check_floor ~what:"parallel fleet speedup" ~floor:1.3
-        (List.map (fun o -> o.par_speedup) runs)
-  end
+  Option.iter
+    (fun a ->
+      Printf.eprintf "bench: unknown argument %S\nsubcommands: %s\nflags: %s N\n"
+        a (String.concat " " subcommand_names) (String.concat " N, " value_flags);
+      exit 2)
+    (unknown_arg args);
+  List.iter
+    (fun (name, run) ->
+      if List.mem name args || (args = [] && name <> "parallel") then run ())
+    (subcommands args)

@@ -74,6 +74,14 @@ let backend_flag =
 
 let set_backend = Pbackend.set_default
 
+(* --engine and --backend, applied before the command body runs. *)
+let machine_flags =
+  Term.(
+    const (fun e b ->
+        set_engine e;
+        set_backend b)
+    $ engine_flag $ backend_flag)
+
 (* --- call: measure a protected null call ----------------------------- *)
 
 let run_call iterations =
@@ -103,11 +111,7 @@ let call_cmd =
   Cmd.v
     (Cmd.info "call" ~doc:"Measure the protected procedure call cost (Table 1).")
     Term.(
-      const (fun e b n ->
-          set_engine e;
-          set_backend b;
-          run_call n)
-      $ engine_flag $ backend_flag $ iterations)
+      const (fun () -> run_call) $ machine_flags $ iterations)
 
 (* --- filter: packet filtering sweep ----------------------------------- *)
 
@@ -135,7 +139,7 @@ let run_filter terms count match_percent budget_policy budget_cycles =
   let kernel = Palladium.kernel w in
   let task = Kernel.create_task kernel ~name:"netd" in
   let filter = Filter_expr.canonical terms in
-  Fmt.pr "filter: %a\n" Filter_expr.pp filter;
+  Fmt.pr "filter: %a@." Filter_expr.pp filter;
   let interp = Bpf_asm_interp.load kernel in
   Bpf_asm_interp.set_program interp (Filter_expr.to_bpf_tcpdump filter);
   (* The budget gates the *extension*: the interpreter baseline above
@@ -211,12 +215,10 @@ let filter_cmd =
   Cmd.v
     (Cmd.info "filter" ~doc:"Packet filter: BPF interpreter vs compiled extension (Figure 7).")
     Term.(
-      const (fun e b t c m bp bc ->
+      const (fun e ->
           set_engine e;
-          set_backend b;
-          run_filter t c m bp bc)
-      $ engine_flag $ backend_flag $ terms $ count $ pct $ budget_policy
-      $ budget)
+          run_filter)
+      $ engine_flag $ terms $ count $ pct $ budget_policy $ budget)
 
 (* --- webserver: throughput experiment ----------------------------------- *)
 
@@ -687,15 +689,13 @@ let fleet_cmd =
           sampling, streaming Prometheus exposition ($(b,--serve)) and JSONL \
           flushing ($(b,--jsonl)).")
     Term.(
-      const (fun e bk w d b n dur sample srv jl exp out ->
-          set_engine e;
-          set_backend bk;
+      const (fun () w d b n dur sample srv jl exp out ->
           match dur with
           | None -> run_fleet w d b n
           | Some duration ->
               run_fleet_live w d b duration sample srv jl exp out)
-      $ engine_flag $ backend_flag $ worlds $ domains $ bytes $ total
-      $ duration $ sample_every $ serve $ jsonl $ expect $ out)
+      $ machine_flags $ worlds $ domains $ bytes $ total $ duration
+      $ sample_every $ serve $ jsonl $ expect $ out)
 
 (* --- rpc ------------------------------------------------------------------ *)
 
@@ -745,16 +745,16 @@ let run_stats iterations with_fault =
   run_workload ~iterations ~with_fault;
   Fmt.pr "%a@." Obs.Counters.pp ()
 
+let with_fault =
+  Arg.(
+    value & flag
+    & info [ "fault" ] ~doc:"Also trigger a protection fault (SIGSEGV path).")
+
 let stats_cmd =
   let iterations =
     Arg.(
       value & opt int 10
       & info [ "n"; "iterations" ] ~doc:"Protected calls to run.")
-  in
-  let with_fault =
-    Arg.(
-      value & flag
-      & info [ "fault" ] ~doc:"Also trigger a protection fault (SIGSEGV path).")
   in
   Cmd.v
     (Cmd.info "stats"
@@ -762,52 +762,31 @@ let stats_cmd =
          "Run a protected-call workload and print the global event counters \
           (TLB, page walks, privilege crossings, syscalls, faults).")
     Term.(
-      const (fun e b n f ->
-          set_engine e;
-          set_backend b;
-          run_stats n f)
-      $ engine_flag $ backend_flag $ iterations $ with_fault)
+      const (fun () -> run_stats) $ machine_flags $ iterations $ with_fault)
 
-(* --- trace: event ring buffer dump ----------------------------------------- *)
-
-let trace_kinds =
-  [
-    "priv"; "fault"; "module"; "call"; "syscall"; "watchdog"; "desc"; "audit";
-    "custom";
-  ]
+(* --- trace: span ring listing ---------------------------------------------- *)
 
 let run_trace iterations with_fault capacity json filter =
-  (match filter with
-  | Some k when not (List.mem k trace_kinds) ->
-      Printf.eprintf "palladium: unknown --filter kind %S (expected %s)\n" k
-        (String.concat "|" trace_kinds);
-      exit 2
-  | _ -> ());
-  Obs.Trace.set_capacity capacity;
-  Obs.Trace.set_enabled true;
+  Obs.Span.set_capacity capacity;
+  Obs.Span.set_enabled true;
   run_workload ~iterations ~with_fault;
-  Obs.Trace.set_enabled false;
-  let keep (e : Obs.Trace.entry) =
-    match filter with
-    | None -> true
-    | Some k -> String.equal (Obs.Trace.kind_of_event e.Obs.Trace.event) k
-  in
-  let entries = List.filter keep (Obs.Trace.events ()) in
+  Obs.Span.set_enabled false;
+  let keep e = Option.fold filter ~none:true ~some:(String.equal (Obs.Span.family e)) in
+  let entries = List.filter keep (Obs.Span.entries ()) in
   if json then
     print_endline
       (Obs.Json.pretty
          (Obs.Json.Obj
             [
-              ( "events",
-                Obs.Json.List (List.map Obs.Trace.entry_to_json entries) );
-              ("dropped", Obs.Json.Int (Obs.Trace.dropped ()));
-              ("capacity", Obs.Json.Int (Obs.Trace.capacity ()));
+              ("events", Obs.Json.List (List.map Obs.Span.entry_to_json entries));
+              ("dropped", Obs.Json.Int (Obs.Span.dropped ()));
+              ("capacity", Obs.Json.Int (Obs.Span.capacity ()));
             ]))
   else begin
-    List.iter (fun e -> Fmt.pr "%a@." Obs.Trace.pp_entry e) entries;
-    if Obs.Trace.dropped () > 0 then
-      Fmt.pr "(%d older events dropped; raise --capacity to keep more)@."
-        (Obs.Trace.dropped ())
+    List.iter (fun e -> Fmt.pr "%a@." Obs.Span.pp_entry e) entries;
+    if Obs.Span.dropped () > 0 then
+      Fmt.pr "(%d older entries dropped; raise --capacity to keep more)@."
+        (Obs.Span.dropped ())
   end
 
 let trace_cmd =
@@ -816,15 +795,10 @@ let trace_cmd =
       value & opt int 2
       & info [ "n"; "iterations" ] ~doc:"Protected calls to run.")
   in
-  let with_fault =
-    Arg.(
-      value & flag
-      & info [ "fault" ] ~doc:"Also trigger a protection fault (SIGSEGV path).")
-  in
   let capacity =
     Arg.(
       value & opt int 1024
-      & info [ "capacity" ] ~doc:"Ring buffer capacity (events).")
+      & info [ "capacity" ] ~doc:"Span ring capacity (entries).")
   in
   let json =
     Arg.(
@@ -832,27 +806,27 @@ let trace_cmd =
       & info [ "json" ] ~doc:"Emit the ring as JSON instead of text.")
   in
   let filter =
+    let families = List.map (fun k -> (k, k)) Obs.Span.families in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some (enum families)) None
       & info [ "filter" ] ~docv:"KIND"
           ~doc:
-            "Only show events of one kind: priv, fault, module, call, \
-             syscall, watchdog or custom.")
+            ("Only show entries of the family $(docv), " ^ doc_alts_enum families
+           ^ ".  priv is a ring-changing far transfer, span any span \
+              without an event family (Table 1 phases, block \
+              translation)."))
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Run a protected-call workload with event tracing on and dump the \
-          ring buffer (privilege transitions, module loads, protected calls, \
-          faults, syscalls).")
+         "Run a protected-call workload with span recording on and list the \
+          span ring in recording order: descriptor writes, audit outcomes, \
+          ring changes, syscalls, module loads, protected calls and their \
+          phases, faults.")
     Term.(
-      const (fun e b n f c j k ->
-          set_engine e;
-          set_backend b;
-          run_trace n f c j k)
-      $ engine_flag $ backend_flag $ iterations $ with_fault $ capacity $ json
-      $ filter)
+      const (fun () -> run_trace)
+      $ machine_flags $ iterations $ with_fault $ capacity $ json $ filter)
 
 (* --- profile: span profiler over a workload -------------------------------- *)
 
@@ -877,6 +851,9 @@ let run_profile workload iterations out_dir =
     exit 2
   end;
   Obs.Span.clear ();
+  (* The ring's storage grows only as entries arrive, so an unbounded
+     capacity keeps every entry of the run and costs nothing up front. *)
+  Obs.Span.set_capacity max_int;
   Obs.Histogram.reset_all ();
   Obs.Span.set_enabled true;
   let ts_scale =
@@ -900,8 +877,8 @@ let run_profile workload iterations out_dir =
   in
   Obs.Span.set_enabled false;
   let spans = Obs.Span.spans () in
-  Printf.printf "%d spans over %d %s iterations\n" (List.length spans)
-    (max 1 iterations) workload;
+  let n = List.length (List.filter (fun s -> not s.Obs.Span.sp_instant) spans) in
+  Printf.printf "%d spans over %d %s iterations\n" n (max 1 iterations) workload;
   let out suffix = Filename.concat out_dir ("PROFILE_" ^ workload ^ suffix) in
   write_file (out ".trace.json")
     (Obs.Json.pretty (Obs.Export.chrome_trace ~ts_scale spans));
@@ -933,11 +910,8 @@ let profile_cmd =
           trace (Perfetto), a Prometheus exposition and folded stacks for \
           flamegraphs.")
     Term.(
-      const (fun e b w n o ->
-          set_engine e;
-          set_backend b;
-          run_profile w n o)
-      $ engine_flag $ backend_flag $ workload $ iterations $ out_dir)
+      const (fun () -> run_profile)
+      $ machine_flags $ workload $ iterations $ out_dir)
 
 (* --- verify: load-time verifier reports ------------------------------------ *)
 

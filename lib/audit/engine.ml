@@ -68,10 +68,14 @@ let c_warn = Obs.Counters.counter "audit.warn"
 let c_reject = Obs.Counters.counter "audit.reject"
 
 let outcome_event ~context ~outcome r =
-  if Obs.Trace.on () then
-    Obs.Trace.emit
-      (Obs.Trace.Audit_outcome
-         { context; outcome; findings = List.length r.rp_findings })
+  if Obs.Span.on () then
+    Obs.Span.instant "audit.outcome" ~at:0
+      ~args:
+        [
+          ("context", context);
+          ("outcome", outcome);
+          ("findings", string_of_int (List.length r.rp_findings));
+        ]
 
 let enforce ?policy:p ~context s =
   let r = run s in

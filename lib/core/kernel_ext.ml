@@ -340,6 +340,10 @@ let insmod ?(require_termination = false) t (image : Image.t) =
     }
   in
   t.modules <- m :: t.modules;
+  if Obs.Span.on () then
+    Obs.Span.instant "module.load"
+      ~at:(Cpu.cycles (Kernel.cpu t.kernel))
+      ~args:[ ("name", image.Image.name); ("mechanism", "insmod(ext)") ];
   Paudit.note_far_targets t.kernel ~cs:t.gdt_cs_idx !far_targets;
   (* Warm the basic-block engine: pre-translate the module's text at
      its CFG block leaders under the exact CS signature the extension

@@ -70,11 +70,10 @@ let insmod kernel (image : Image.t) =
   let asm = Asm.assemble ~org:text_off ~extern image.Image.text in
   Code_mem.store_program (Kernel.code kernel) ~addr:text_linear asm.Asm.instrs;
   List.iter (fun (n, off) -> Hashtbl.replace symbols n off) asm.Asm.symbols;
-  if Obs.Trace.on () then
-    Obs.Trace.emit
-      ~cycles:(Cpu.cycles (Kernel.cpu kernel))
-      (Obs.Trace.Module_load
-         { name = image.Image.name; mechanism = "insmod" });
+  if Obs.Span.on () then
+    Obs.Span.instant "module.load"
+      ~at:(Cpu.cycles (Kernel.cpu kernel))
+      ~args:[ ("name", image.Image.name); ("mechanism", "insmod") ];
   { kernel; name = image.Image.name; text_off; symbols }
 
 let symbol t name =

@@ -26,11 +26,6 @@ let program =
     Asm.I (Instr.Mark "rt.done");
     Asm.I (Instr.Alu (Instr.Add, Operand.Reg Reg.ESP, Operand.Imm 4));
     Asm.I Instr.Hlt;
-    (* Call a function pointer in EAX with no arguments. *)
-    Asm.L "rt$invoke0";
-    Asm.I (Instr.Call_ind (Operand.Reg Reg.EAX));
-    Asm.I (Instr.Mark "rt.done");
-    Asm.I Instr.Hlt;
     (* Store EDX at ES:[EBX] after loading ES with the selector in
        ECX: the protected-memory-service accessor. *)
     Asm.L "rt$guard_store";

@@ -310,8 +310,6 @@ let xmalloc ext size =
 
 let c_protected_calls = Obs.Counters.counter "core.protected_calls"
 
-let rec drop n l = if n <= 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-
 (* Recover the Table 1 phases of one protected call from the [Mark]
    stamps the entry stubs leave behind, and record them as child spans
    of the (still open) protected_call root.  The two transfer phases
@@ -366,7 +364,7 @@ let call t ~prepare ~arg =
   let wd = Kernel.watchdog t.kernel in
   let cpu = Kernel.cpu t.kernel in
   let span_on = Obs.Span.on () in
-  let marks_before = if span_on then List.length (Cpu.marks cpu) else 0 in
+  let marks_before = Cpu.mark_cursor cpu in
   if span_on then
     Obs.Span.begin_ "protected_call"
       ~args:[ ("prepare", Printf.sprintf "%#x" prepare) ]
@@ -385,22 +383,19 @@ let call t ~prepare ~arg =
       X86.Mmu.set_pkru (Cpu.mmu cpu) 0
   | Keys _, Kernel.Completed | Seg _, _ -> ());
   if span_on then begin
-    record_phase_spans t (drop marks_before (Cpu.marks cpu));
+    record_phase_spans t (Cpu.marks_since cpu marks_before);
     Obs.Span.end_ "protected_call" ~at:(Cpu.cycles cpu)
+      ~args:
+        [
+          ( "outcome",
+            match o.Runtime.result with
+            | Kernel.Completed -> "ok"
+            | Kernel.Faulted _ -> "fault"
+            | Kernel.Timed_out _ -> "timeout"
+            | Kernel.Out_of_fuel -> "runaway" );
+          ("cycles", string_of_int o.Runtime.cycles);
+        ]
   end;
-  if Obs.Trace.on () then
-    Obs.Trace.emit ~cycles:(Cpu.cycles cpu)
-      (Obs.Trace.Protected_call
-         {
-           fn = Printf.sprintf "%#x" prepare;
-           outcome =
-             (match o.Runtime.result with
-             | Kernel.Completed -> "ok"
-             | Kernel.Faulted _ -> "fault"
-             | Kernel.Timed_out _ -> "timeout"
-             | Kernel.Out_of_fuel -> "runaway");
-           cycles = o.Runtime.cycles;
-         });
   (match o.Runtime.result with
   | Kernel.Timed_out _ ->
       ignore

@@ -19,11 +19,10 @@ type t = {
   mutable areas : Vm_area.t list; (* sorted by va_start *)
   mutable spl2 : bool;
   mutable mpk_app_key : int; (* 0 = no MPK promotion (see mpk_promote) *)
-  mutable marked_pages : int; (* statistics: PPL/key-marking operations *)
 }
 
 let create ~phys ~dir =
-  { phys; dir; areas = []; spl2 = false; mpk_app_key = 0; marked_pages = 0 }
+  { phys; dir; areas = []; spl2 = false; mpk_app_key = 0 }
 
 let directory t = t.dir
 
@@ -189,7 +188,6 @@ let apply_ppl t (area : Vm_area.t) level =
     if X86.Paging.set_user t.dir ~vpn:(vpn0 + i) (level = P.User) then
       incr touched
   done;
-  t.marked_pages <- t.marked_pages + !touched;
   !touched
 
 (* init_PL's memory side: mark all writable non-extension pages
@@ -225,7 +223,6 @@ let apply_key t (area : Vm_area.t) key =
   for i = 0 to Vm_area.pages area - 1 do
     if X86.Paging.set_key t.dir ~vpn:(vpn0 + i) key then incr touched
   done;
-  t.marked_pages <- t.marked_pages + !touched;
   !touched
 
 (* init_mpk's memory side: the MPK analogue of [promote].  Stamps the
@@ -344,7 +341,6 @@ let clone t =
         t.areas;
     spl2 = t.spl2;
     mpk_app_key = t.mpk_app_key;
-    marked_pages = 0;
   }
 
 let pp ppf t =

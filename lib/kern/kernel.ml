@@ -43,8 +43,6 @@ type t = {
   uds : Sel.t;
   syscall_entry : int; (* kernel-segment offset of the int-0x80 stub *)
   invoke_entry : int; (* kernel trampoline: call fn ptr in EAX, arg EBX *)
-  mutable segv_log : (int * Signal.info) list;
-  mutable kernel_ext_faults : string list;
   (* per-kernel policy knobs ("verify"/"audit" -> "off"|"warn"|"reject"),
      overriding the process defaults for this world only *)
   policy_overrides : (string, string) Hashtbl.t;
@@ -202,12 +200,10 @@ let install_fault_hook t =
          match outcome with
          | Page_fault.Repaired -> Cpu.Fault_continue
          | Page_fault.Deliver_segv info ->
-             t.segv_log <- (task.Task.pid, info) :: t.segv_log;
              Obs.Counters.incr c_sigsegv;
              ignore (Signal.deliver task.Task.signals info);
              Cpu.Fault_stop
-         | Page_fault.Kernel_ext_fault reason ->
-             t.kernel_ext_faults <- reason :: t.kernel_ext_faults;
+         | Page_fault.Kernel_ext_fault _ ->
              Obs.Counters.incr c_ext_faults;
              Cpu.Fault_stop
          | Page_fault.Panic msg -> raise (Panic msg)))
@@ -685,8 +681,6 @@ let boot ?(params = Cycles.pentium) () =
       uds;
       syscall_entry = 0;
       invoke_entry = 0;
-      segv_log = [];
-      kernel_ext_faults = [];
       policy_overrides = Hashtbl.create 4;
       ext_state = Hashtbl.create 4;
     }

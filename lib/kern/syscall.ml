@@ -77,13 +77,7 @@ let dispatch table (ctx : context) number =
       | None -> Errno.to_ret Errno.ENOSYS
       | Some (_, fn) -> fn ctx
   in
-  if span_on then Obs.Span.end_ span_name ~at:(Cpu.cycles ctx.cpu);
-  if Obs.Trace.on () then
-    Obs.Trace.emit
-      (Obs.Trace.Syscall
-         {
-           number;
-           name = Option.value (name_of table number) ~default:"?";
-           ret;
-         });
+  if span_on then
+    Obs.Span.end_ span_name ~at:(Cpu.cycles ctx.cpu)
+      ~args:[ ("number", string_of_int number); ("ret", string_of_int ret) ];
   ret

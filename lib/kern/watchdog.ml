@@ -50,9 +50,13 @@ let check t ~now =
       if used > limit_cycles then begin
         t.expirations <- t.expirations + 1;
         Obs.Counters.incr c_expirations;
-        if Obs.Trace.on () then
-          Obs.Trace.emit ~cycles:now
-            (Obs.Trace.Watchdog_expiry { used; limit = limit_cycles });
+        if Obs.Span.on () then
+          Obs.Span.instant "watchdog.expiry" ~at:now
+            ~args:
+              [
+                ("used", string_of_int used);
+                ("limit", string_of_int limit_cycles);
+              ];
         t.armed <- None;
         raise (Expired { wd_limit = limit_cycles; wd_used = used })
       end

@@ -232,17 +232,17 @@ let dlopen ?(placement = shared_library) ~(kernel : Kernel.t) ~(task : Task.t)
   | _ -> ());
   (* The measured dlopen cost on the paper's machine (section 5.1). *)
   Cpu.charge (Kernel.cpu kernel) (Cycles.usec_to_cycles Kcosts.dlopen_usec);
-  if Obs.Trace.on () then
-    Obs.Trace.emit
-      ~cycles:(Cpu.cycles (Kernel.cpu kernel))
-      (Obs.Trace.Module_load
-         {
-           name = image.Image.name;
-           mechanism =
-             (match placement.text_kind with
-             | Vm_area.Ext_code -> "seg_dlopen"
-             | _ -> "dlopen");
-         });
+  if Obs.Span.on () then
+    Obs.Span.instant "module.load"
+      ~at:(Cpu.cycles (Kernel.cpu kernel))
+      ~args:
+        [
+          ("name", image.Image.name);
+          ( "mechanism",
+            match placement.text_kind with
+            | Vm_area.Ext_code -> "seg_dlopen"
+            | _ -> "dlopen" );
+        ];
   {
     h_image = image;
     h_text_base = text_base;
@@ -260,10 +260,10 @@ let dlsym handle name =
   | None -> raise (Missing_symbol name)
 
 let dlclose ~(kernel : Kernel.t) ~(task : Task.t) ~env handle =
-  if Obs.Trace.on () then
-    Obs.Trace.emit
-      ~cycles:(Cpu.cycles (Kernel.cpu kernel))
-      (Obs.Trace.Module_unload { name = handle.h_image.Image.name });
+  if Obs.Span.on () then
+    Obs.Span.instant "module.unload"
+      ~at:(Cpu.cycles (Kernel.cpu kernel))
+      ~args:[ ("name", handle.h_image.Image.name) ];
   List.iter
     (fun (a : Vm_area.t) ->
       ignore

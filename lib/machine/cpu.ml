@@ -44,9 +44,9 @@ type stop = Halted | Max_instructions | Fault_abort of F.t
 
 type engine = Interp | Blocks
 
-(* Instruction-trace ring capacity (mirrors Obs.Trace's bounded ring):
-   tracing long runs keeps the newest entries instead of growing a
-   cons list linearly in instruction count. *)
+(* Instruction-trace ring capacity (a bounded ring, like the span
+   recorder's): tracing long runs keeps the newest entries instead of
+   growing a cons list linearly in instruction count. *)
 let trace_capacity = 256
 
 type t = {
@@ -223,6 +223,19 @@ let code t = t.code
 let params t = t.params
 
 let marks t = List.rev t.marks
+
+type mark_cursor = (string * int) list
+
+let mark_cursor t = t.marks
+
+(* The history is newest first and only ever consed onto, so the marks
+   stamped since [cursor] are the prefix that ends at it. *)
+let marks_since t cursor =
+  let rec take acc l =
+    if l == cursor then acc
+    else match l with [] -> acc | m :: tl -> take (m :: acc) tl
+  in
+  take [] t.marks
 
 let clear_marks t = t.marks <- []
 
@@ -407,6 +420,16 @@ let resolve_gate t selector =
   | Desc.Tss_desc _ ->
       F.raise_ (F.Segment_type { selector; expected = "call gate" })
 
+(* The span of one ring-changing far transfer, from [start] to now. *)
+let crossing_span t name ~start from_ring to_ring =
+  ignore
+    (Obs.Span.record name ~start ~stop:t.cycles
+       ~args:
+         [
+           ("from_ring", string_of_int (P.to_int from_ring));
+           ("to_ring", string_of_int (P.to_int to_ring));
+         ])
+
 (* lcall through a call gate.  The gate's DPL gates who may call; the
    target code segment's DPL decides whether the transfer raises the
    privilege level (it can never lower it — that is Palladium's whole
@@ -445,14 +468,6 @@ let exec_lcall t sel_encoded return_eip =
     let span_start = t.cycles in
     charge t (t.params.lcall_gate_pl_change + t.params.lcall_hazard);
     Obs.Counters.incr c_cross_raise;
-    if Obs.Trace.on () then
-      Obs.Trace.emit ~cycles:t.cycles
-        (Obs.Trace.Priv_transition
-           {
-             from_ring = P.to_int here;
-             to_ring = P.to_int target_dpl;
-             via = "lcall";
-           });
     let new_cpl = target_dpl in
     let stack = Tss.stack_for t.tss new_cpl in
     let new_ss = Seg.load_stack t.view ~cpl:new_cpl stack.Tss.stack_selector in
@@ -473,13 +488,7 @@ let exec_lcall t sel_encoded return_eip =
     t.cs <- Seg.load_code t.view ~new_cpl gate.Desc.target;
     t.eip <- gate.Desc.entry;
     if Obs.Span.on () then
-      ignore
-        (Obs.Span.record "hw.lcall" ~start:span_start ~stop:t.cycles
-           ~args:
-             [
-               ("from_ring", string_of_int (P.to_int here));
-               ("to_ring", string_of_int (P.to_int new_cpl));
-             ])
+      crossing_span t "hw.lcall" ~start:span_start here new_cpl
   end
 
 (* On a privilege-lowering return the hardware invalidates data
@@ -530,14 +539,6 @@ let exec_lret t extra_pop =
     let span_start = t.cycles in
     charge t (t.params.lret_pl_change + t.params.lret_hazard);
     Obs.Counters.incr c_cross_lower;
-    if Obs.Trace.on () then
-      Obs.Trace.emit ~cycles:t.cycles
-        (Obs.Trace.Priv_transition
-           {
-             from_ring = P.to_int here;
-             to_ring = P.to_int new_cpl;
-             via = "lret";
-           });
     let new_esp = pop_u32 t in
     let ss_sel = Sel.decode (pop_u32 t land 0xFFFF) in
     let new_ss = Seg.load_stack t.view ~cpl:new_cpl ss_sel in
@@ -547,13 +548,7 @@ let exec_lret t extra_pop =
     invalidate_inaccessible_data_segs t new_cpl;
     t.eip <- new_eip;
     if Obs.Span.on () then
-      ignore
-        (Obs.Span.record "hw.lret" ~start:span_start ~stop:t.cycles
-           ~args:
-             [
-               ("from_ring", string_of_int (P.to_int here));
-               ("to_ring", string_of_int (P.to_int new_cpl));
-             ])
+      crossing_span t "hw.lret" ~start:span_start here new_cpl
   end
 
 (* int N through the IDT. *)
@@ -595,14 +590,6 @@ let exec_int t vector return_eip =
     let span_start = t.cycles in
     charge t t.params.int_gate_pl_change;
     Obs.Counters.incr c_cross_raise;
-    if Obs.Trace.on () then
-      Obs.Trace.emit ~cycles:t.cycles
-        (Obs.Trace.Priv_transition
-           {
-             from_ring = P.to_int here;
-             to_ring = P.to_int new_cpl;
-             via = "int";
-           });
     let stack = Tss.stack_for t.tss new_cpl in
     let new_ss = Seg.load_stack t.view ~cpl:new_cpl stack.Tss.stack_selector in
     let old_ss = Sel.encode t.ss.Seg.selector in
@@ -616,13 +603,7 @@ let exec_int t vector return_eip =
     t.cs <- Seg.load_code t.view ~new_cpl gate.Desc.target;
     t.eip <- gate.Desc.entry;
     if Obs.Span.on () then
-      ignore
-        (Obs.Span.record "hw.int" ~start:span_start ~stop:t.cycles
-           ~args:
-             [
-               ("from_ring", string_of_int (P.to_int here));
-               ("to_ring", string_of_int (P.to_int new_cpl));
-             ])
+      crossing_span t "hw.int" ~start:span_start here new_cpl
   end
 
 let exec_iret t =
@@ -642,14 +623,6 @@ let exec_iret t =
     let span_start = t.cycles in
     charge t t.params.iret_pl_change;
     Obs.Counters.incr c_cross_lower;
-    if Obs.Trace.on () then
-      Obs.Trace.emit ~cycles:t.cycles
-        (Obs.Trace.Priv_transition
-           {
-             from_ring = P.to_int here;
-             to_ring = P.to_int new_cpl;
-             via = "iret";
-           });
     let new_esp = pop_u32 t in
     let ss_sel = Sel.decode (pop_u32 t land 0xFFFF) in
     let new_ss = Seg.load_stack t.view ~cpl:new_cpl ss_sel in
@@ -659,13 +632,7 @@ let exec_iret t =
     invalidate_inaccessible_data_segs t new_cpl;
     t.eip <- new_eip;
     if Obs.Span.on () then
-      ignore
-        (Obs.Span.record "hw.iret" ~start:span_start ~stop:t.cycles
-           ~args:
-             [
-               ("from_ring", string_of_int (P.to_int here));
-               ("to_ring", string_of_int (P.to_int new_cpl));
-             ])
+      crossing_span t "hw.iret" ~start:span_start here new_cpl
   end
 
 (* --- Instruction dispatch ------------------------------------------ *)
@@ -921,9 +888,6 @@ let run ?(max_instrs = 10_000_000) t =
           let consumed = t.dispatch_consumed in
           t.fault_count <- t.fault_count + 1;
           Obs.Counters.incr c_faults;
-          if Obs.Trace.on () then
-            Obs.Trace.emit ~cycles:t.cycles
-              (Obs.Trace.Fault { vector = F.vector f; detail = F.to_string f });
           let span_start = t.cycles in
           charge t t.params.fault_transfer;
           let action =
@@ -936,7 +900,11 @@ let run ?(max_instrs = 10_000_000) t =
           if Obs.Span.on () then
             ignore
               (Obs.Span.record "hw.fault" ~start:span_start ~stop:t.cycles
-                 ~args:[ ("detail", F.to_string f) ]);
+                 ~args:
+                   [
+                     ("detail", F.to_string f);
+                     ("vector", string_of_int (F.vector f));
+                   ]);
           (match action with
           | Fault_continue -> loop (n - consumed)
           | Fault_stop -> Fault_abort f)

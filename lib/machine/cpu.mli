@@ -70,6 +70,14 @@ val force_seg : t -> Reg.sreg -> X86.Segmentation.loaded -> unit
 val marks : t -> (string * int) list
 (** [(name, cycle-count-at-mark)] in program order. *)
 
+type mark_cursor
+
+val mark_cursor : t -> mark_cursor
+
+val marks_since : t -> mark_cursor -> (string * int) list
+(** The marks stamped after the cursor was taken, in program order;
+    walks only those, not the whole history. *)
+
 val clear_marks : t -> unit
 
 (** {2 Hooks} *)

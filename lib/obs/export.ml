@@ -8,24 +8,26 @@
 
 (* --- Chrome trace-event JSON ----------------------------------------- *)
 
-(* Complete ("ph":"X") events; [ts]/[dur] are emitted in the span's own
-   stamp unit (CPU cycles for machine spans), scaled by [ts_scale] so
-   callers can map cycles to microseconds (1/MHz) when they want
+(* Complete ("ph":"X") events, and thread-scoped instant ("ph":"i")
+   events for instants; [ts]/[dur] are emitted in the span's own stamp
+   unit (CPU cycles for machine spans), scaled by [ts_scale] so callers
+   can map cycles to microseconds (1/MHz) when they want
    wall-clock-looking traces. *)
 let chrome_trace ?(ts_scale = 1.0) spans =
   let event (s : Span.completed) =
+    let stamp v = Json.Float (float_of_int v *. ts_scale) in
+    let start = stamp s.Span.sp_start in
     Json.Obj
-      ([
-         ("name", Json.String s.Span.sp_name);
-         ("cat", Json.String "palladium");
-         ("ph", Json.String "X");
-         ("ts", Json.Float (float_of_int s.Span.sp_start *. ts_scale));
-         ( "dur",
-           Json.Float
-             (float_of_int (s.Span.sp_stop - s.Span.sp_start) *. ts_scale) );
-         ("pid", Json.Int 1);
-         ("tid", Json.Int s.Span.sp_track);
-       ]
+      ([ ("name", Json.String s.Span.sp_name); ("cat", Json.String "palladium") ]
+      @ (if s.Span.sp_instant then
+           [ ("ph", Json.String "i"); ("s", Json.String "t"); ("ts", start) ]
+         else
+           [
+             ("ph", Json.String "X");
+             ("ts", start);
+             ("dur", stamp (s.Span.sp_stop - s.Span.sp_start));
+           ])
+      @ [ ("pid", Json.Int 1); ("tid", Json.Int s.Span.sp_track) ]
       @
       match s.Span.sp_args with
       | [] -> []
@@ -55,28 +57,21 @@ let sanitize name =
 
 (* HELP text: the spec escapes backslash and newline.  Label values
    additionally escape the double quote. *)
-let escape_help s =
+let escape ~quote s =
   let buf = Buffer.create (String.length s) in
   String.iter
     (fun c ->
       match c with
       | '\\' -> Buffer.add_string buf "\\\\"
+      | '"' when quote -> Buffer.add_string buf "\\\""
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
 
-let escape_label_value s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape_help = escape ~quote:false
+
+let escape_label_value = escape ~quote:true
 
 let prometheus ?(prefix = "palladium_") () =
   let buf = Buffer.create 1024 in
@@ -124,8 +119,9 @@ let prometheus ?(prefix = "palladium_") () =
    the input format of flamegraph.pl / inferno.  The weight of a span
    is its duration minus the duration of its direct children (its
    *self* time), clamped at zero when children post-hoc-recorded from
-   marks overlap. *)
+   marks overlap.  Instants carry no weight and are left out. *)
 let folded spans =
+  let spans = List.filter (fun (s : Span.completed) -> not s.sp_instant) spans in
   let by_id = Hashtbl.create 64 in
   List.iter (fun (s : Span.completed) -> Hashtbl.replace by_id s.Span.sp_id s) spans;
   let child_time = Hashtbl.create 64 in

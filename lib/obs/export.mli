@@ -2,7 +2,8 @@
     views over Span/Counters/Histogram state — no filesystem access. *)
 
 val chrome_trace : ?ts_scale:float -> Span.completed list -> Json.t
-(** Chrome trace-event JSON (complete ["X"] events), loadable in
+(** Chrome trace-event JSON (complete ["X"] events for spans, instant
+    ["i"] events for instants), loadable in
     Perfetto or [chrome://tracing].  [ts]/[dur] are the span stamps
     multiplied by [ts_scale] (default 1.0, i.e. raw cycles; pass
     [1.0 /. mhz] for microseconds). *)
@@ -25,7 +26,8 @@ val escape_label_value : string -> string
 val folded : Span.completed list -> string
 (** Folded-stacks text ("root;child;leaf self-weight" per line, sorted
     by stack), the input format of flamegraph tools.  Weights are
-    *self* times: a span's duration minus its direct children's. *)
+    *self* times: a span's duration minus its direct children's.
+    Instants are left out. *)
 
 val pp_histograms : Format.formatter -> unit -> unit
 (** Aligned per-span-name table: count, mean, p50/p90/p99/max. *)

@@ -2,10 +2,10 @@
 
    Counter *names and kinds* are process-wide (a metric keeps the same
    identity in every world), but the *values* — and the histogram
-   registry, the trace ring and the span recorder — live in a sink.
+   registry and the span recorder — live in a sink.
    Every domain carries a current sink in domain-local storage, so the
    classic module-level API (Counters.incr on a handle resolved at
-   module init, Trace.emit, Span.record, Histogram.get_or_create)
+   module init, Span.record, Histogram.get_or_create)
    keeps working unchanged while N worlds run concurrently: each world
    executes under [with_sink] and publishes only into its own state.
    [merge] folds a finished world's sink into an aggregate at join
@@ -70,7 +70,6 @@ type t = {
   sk_label : string;
   mutable sk_cells : cell array; (* indexed by descriptor id *)
   sk_hists : (string, Histogram.t) Hashtbl.t;
-  sk_trace : Trace_state.ring;
   sk_spans : Span_state.t;
 }
 
@@ -85,7 +84,6 @@ let create ?label () =
     sk_label = label;
     sk_cells = [||];
     sk_hists = Hashtbl.create 32;
-    sk_trace = Trace_state.create_ring Trace_state.default_capacity;
     sk_spans = Span_state.create ();
   }
 
@@ -128,8 +126,6 @@ let with_sink t f =
    module-initialisation time, before any simulator code. *)
 let () = Histogram.registry_hook := fun () -> (current ()).sk_hists
 
-let trace t = t.sk_trace
-
 let span_state t = t.sk_spans
 
 (* --- Readers ---------------------------------------------------------- *)
@@ -152,23 +148,13 @@ let histograms t =
 
 let find_histogram t name = Hashtbl.find_opt t.sk_hists name
 
-let spans t = Span_state.spans t.sk_spans
-
-let trace_events t = Trace_state.events t.sk_trace
-
 (* --- Join-time aggregation ------------------------------------------- *)
 
 (* Counters and gauges both sum: the merged sink reports fleet totals.
-   Histograms merge sample-exactly; completed spans are concatenated
-   (ids are globally unique, so parent links stay unambiguous).
-
-   Trace events are replayed into the destination ring with sequence
-   numbers reassigned and drop counts carried over — but the ring is
-   bounded, so when the fleet's combined event count exceeds its
-   capacity the events of the *last* sink merged win and earlier
-   worlds' events count as drops.  [~traces:`Drop] skips the replay
-   entirely for callers that only want metric aggregation. *)
-let merge ?(traces = `Last) ~into src =
+   Histograms merge sample-exactly; span-ring entries are replayed into
+   the destination ring (ids are globally unique, so parent links stay
+   unambiguous) and drop counts carry over. *)
+let merge ~into src =
   if into == src then invalid_arg "Sink.merge: cannot merge a sink into itself";
   let n = Array.length src.sk_cells in
   ensure_cells into n;
@@ -184,13 +170,4 @@ let merge ?(traces = `Last) ~into src =
           Hashtbl.replace into.sk_hists name
             (Histogram.merge h (Histogram.create ())))
     src.sk_hists;
-  (match traces with
-  | `Drop -> ()
-  | `Last ->
-      List.iter
-        (fun (e : Trace_state.entry) ->
-          Trace_state.emit ~cycles:e.Trace_state.at_cycles into.sk_trace
-            e.Trace_state.event)
-        (Trace_state.events src.sk_trace);
-      Trace_state.add_dropped into.sk_trace (Trace_state.dropped src.sk_trace));
   Span_state.absorb into.sk_spans src.sk_spans

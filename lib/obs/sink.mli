@@ -1,10 +1,10 @@
 (** Per-world observability sink.
 
     Metric {e names and kinds} are process-wide, but metric {e values}
-    — counter cells, the histogram registry, the trace ring and the
-    span recorder — live in a sink.  Each domain carries a current
-    sink in domain-local storage; the classic module-level APIs
-    ({!Counters}, {!Histogram}'s registry, {!Trace}, {!Span}) read and
+    — counter cells, the histogram registry and the span recorder —
+    live in a sink.  Each domain carries a current sink in
+    domain-local storage; the classic module-level APIs ({!Counters},
+    {!Histogram}'s registry, {!Span}) read and
     write through it, so existing call sites keep working while N
     worlds run concurrently, each under {!with_sink} with its own
     sink.  {!merge} folds a finished world's sink into an aggregate at
@@ -44,32 +44,18 @@ val histograms : t -> (string * Histogram.t) list
 
 val find_histogram : t -> string -> Histogram.t option
 
-val spans : t -> Span_state.completed list
-(** Completed spans in start order (see {!Span.spans}). *)
-
-val trace_events : t -> Trace_state.entry list
-(** Buffered trace entries, oldest first. *)
-
 (** {2 Join-time aggregation} *)
 
-val merge : ?traces:[ `Last | `Drop ] -> into:t -> t -> unit
+val merge : into:t -> t -> unit
 (** Fold [src] into [into]: counter and gauge values sum (fleet
-    totals), histograms merge sample-exactly and completed spans are
-    concatenated (span ids are process-unique, so parent links
-    survive).  Raises [Invalid_argument] when both arguments are the
-    same sink.
-
-    Trace carry-over contract: with [~traces:`Last] (the default),
-    [src]'s trace events are replayed into [into]'s ring — sequence
-    numbers are reassigned in replay order and [src]'s drop count
-    carries over.  Because the destination ring is bounded
-    ({!Trace_state.default_capacity} entries), merging N worlds whose
-    combined event count exceeds the capacity keeps only the newest
-    events, i.e. the {e last} sink merged effectively wins and
-    earlier worlds' events are accounted as drops.  Pass
-    [~traces:`Drop] to skip trace replay entirely (drop counts
-    included) when only metric aggregation is wanted — span
-    absorption is unaffected either way. *)
+    totals), histograms merge sample-exactly and [src]'s span-ring
+    entries are replayed into [into]'s ring (span ids are
+    process-unique, so parent links survive) with its drop count
+    carried over.  The destination ring is bounded, so when the merged
+    worlds recorded more entries than its capacity the newest are
+    kept: the last sink merged wins and earlier entries count as
+    drops.  Raises [Invalid_argument] when both arguments are the same
+    sink. *)
 
 (** {2 Metric descriptors (plumbing for {!Counters})}
 
@@ -109,8 +95,6 @@ val value : t -> descr -> int
 val reset_cells : t -> unit
 (** Zero every counter and gauge value in this sink. *)
 
-(** {2 Per-sink recorder state (plumbing for {!Trace} and {!Span})} *)
-
-val trace : t -> Trace_state.ring
+(** {2 Per-sink recorder state (plumbing for {!Span})} *)
 
 val span_state : t -> Span_state.t

@@ -1,16 +1,17 @@
-(* Nestable begin/end spans stamped with the caller's clock (the
-   simulated CPU cycle counter, or DES microseconds for the web-server
-   model).
+(* Nestable begin/end spans and point-in-time instants, stamped with
+   the caller's clock (the simulated CPU cycle counter, or DES
+   microseconds for the web-server model): the one in-program recorder.
 
-   The recorder state lives in the current domain's {!Sink} (one per
-   world; {!Span_state} holds the records) and is off by default, like
-   Trace: hot call sites guard with [on ()].  A completed span records
-   its parent/child structure (parent id and nesting depth) and feeds
-   its duration into the histogram registered under the span's name,
-   so a single profiled run yields both the event timeline (Chrome
-   trace, folded stacks) and the latency distribution per phase.
-   Span ids come from a process-wide [Atomic.t], so they stay unique
-   across domains and merged fleets keep unambiguous parent links.
+   The state lives in the current domain's {!Sink} (one per world;
+   {!Span_state} holds the bounded ring) and is off by default: hot
+   call sites guard with [on ()].  A completed span records its
+   parent/child structure and feeds its duration into the histogram
+   registered under its name, so a single profiled run yields both the
+   timeline (Chrome trace, folded stacks) and the latency distribution
+   per phase.  An instant is a zero-length entry for a point event (a
+   descriptor write, a module load); it feeds no histogram.  Span ids
+   come from a process-wide [Atomic.t], so merged fleets keep
+   unambiguous parent links.
 
    Unbalanced ends are tolerated rather than fatal: ending a span
    that is not on top of the stack implicitly ends everything nested
@@ -27,6 +28,7 @@ type completed = Span_state.completed = {
   sp_depth : int;
   sp_track : int;
   sp_args : (string * string) list;
+  sp_instant : bool;
 }
 
 let st () = Sink.span_state (Sink.current ())
@@ -35,72 +37,61 @@ let on () = (st ()).Span_state.enabled
 
 let set_enabled b = (st ()).Span_state.enabled <- b
 
-let c_unbalanced = Counters.counter "obs.span.unbalanced"
+let capacity () = (st ()).Span_state.capacity
 
-let fresh_id = Span_state.fresh_id
+let set_capacity n = Span_state.set_capacity (st ()) n
+
+let dropped () = (st ()).Span_state.dropped
+
+let c_unbalanced = Counters.counter "obs.span.unbalanced"
 
 let clear () = Span_state.clear (st ())
 
 let open_depth () = List.length (st ()).Span_state.stack
 
-let current_id () =
-  match (st ()).Span_state.stack with
-  | [] -> None
-  | f :: _ -> Some f.Span_state.of_id
+let current_id st =
+  match st.Span_state.stack with [] -> None | f :: _ -> Some f.sp_id
 
-let finish st (frame : Span_state.open_frame) ~at =
-  let c =
-    {
-      sp_id = frame.Span_state.of_id;
-      sp_parent = frame.Span_state.of_parent;
-      sp_name = frame.Span_state.of_name;
-      sp_start = frame.Span_state.of_start;
-      sp_stop = max frame.Span_state.of_start at;
-      sp_depth = frame.Span_state.of_depth;
-      sp_track = 1;
-      sp_args = frame.Span_state.of_args;
-    }
-  in
-  st.Span_state.completed <- c :: st.Span_state.completed;
-  Histogram.observe (Histogram.get_or_create c.sp_name) (c.sp_stop - c.sp_start)
+(* Store one entry; a span (not an instant) also feeds the histogram
+   named after it. *)
+let push st c =
+  Span_state.push st c;
+  if not c.sp_instant then
+    Histogram.observe (Histogram.get_or_create c.sp_name) (c.sp_stop - c.sp_start)
+
+let finish st f ~args ~at =
+  push st { f with sp_stop = max f.sp_start at; sp_args = f.sp_args @ args }
 
 let begin_ ?(args = []) name ~at =
   let st = st () in
-  if st.Span_state.enabled then begin
-    let parent =
-      match st.Span_state.stack with
-      | [] -> None
-      | f :: _ -> Some f.Span_state.of_id
-    in
-    let frame =
+  if st.Span_state.enabled then
+    st.stack <-
       {
-        Span_state.of_id = fresh_id ();
-        of_name = name;
-        of_start = at;
-        of_parent = parent;
-        of_depth = List.length st.Span_state.stack;
-        of_args = args;
+        sp_id = Span_state.fresh_id ();
+        sp_parent = current_id st;
+        sp_name = name;
+        sp_start = at;
+        sp_stop = at;
+        sp_depth = List.length st.stack;
+        sp_track = 1;
+        sp_args = args;
+        sp_instant = false;
       }
-    in
-    st.Span_state.stack <- frame :: st.Span_state.stack
-  end
+      :: st.stack
 
-let end_ name ~at =
+let end_ ?(args = []) name ~at =
   let st = st () in
   if st.Span_state.enabled then
-    if
-      List.exists
-        (fun (f : Span_state.open_frame) -> f.Span_state.of_name = name)
-        st.Span_state.stack
-    then begin
+    if List.exists (fun f -> f.sp_name = name) st.stack then begin
       (* Implicitly close anything left open inside [name]. *)
       let rec pop () =
-        match st.Span_state.stack with
+        match st.stack with
         | [] -> ()
         | f :: rest ->
-            st.Span_state.stack <- rest;
-            finish st f ~at;
-            if f.Span_state.of_name <> name then begin
+            st.stack <- rest;
+            if f.sp_name = name then finish st f ~args ~at
+            else begin
+              finish st f ~args:[] ~at;
               Counters.incr c_unbalanced;
               pop ()
             end
@@ -111,50 +102,79 @@ let end_ name ~at =
       (* End without a matching begin: drop it, but make it visible. *)
       Counters.incr c_unbalanced
 
+(* An after-the-fact entry goes under [parent] when given, else under
+   the innermost open span. *)
+let push_after st ~args ~track ~parent ~instant name ~start ~stop =
+  let parent = match parent with Some _ -> parent | None -> current_id st in
+  let depth = match parent with None -> 0 | Some _ -> List.length st.stack in
+  let id = Span_state.fresh_id () in
+  push st
+    {
+      sp_id = id;
+      sp_parent = parent;
+      sp_name = name;
+      sp_start = start;
+      sp_stop = max start stop;
+      sp_depth = max 1 depth;
+      sp_track = track;
+      sp_args = args;
+      sp_instant = instant;
+    };
+  id
+
 (* Record a fully-formed span after the fact (e.g. phases recovered
-   from CPU marks, or DES request lifecycles).  Parented under
-   [parent] when given, else under the innermost open span. *)
+   from CPU marks, or DES request lifecycles). *)
 let record ?(args = []) ?(track = 1) ?parent name ~start ~stop =
   let st = st () in
   if not st.Span_state.enabled then None
-  else begin
-    let parent =
-      match parent with Some _ as p -> p | None -> current_id ()
-    in
-    let depth =
-      match parent with None -> 0 | Some _ -> List.length st.Span_state.stack
-    in
-    let c =
-      {
-        sp_id = fresh_id ();
-        sp_parent = parent;
-        sp_name = name;
-        sp_start = start;
-        sp_stop = max start stop;
-        sp_depth = max 1 depth;
-        sp_track = track;
-        sp_args = args;
-      }
-    in
-    st.Span_state.completed <- c :: st.Span_state.completed;
-    Histogram.observe (Histogram.get_or_create name) (c.sp_stop - c.sp_start);
-    Some c.sp_id
-  end
+  else Some (push_after st ~args ~track ~parent ~instant:false name ~start ~stop)
 
-(* Completed spans, in start order (ties broken by id, i.e. begin
-   order — parents before their children). *)
+let instant ?(args = []) name ~at =
+  let st = st () in
+  if st.Span_state.enabled then
+    ignore
+      (push_after st ~args ~track:1 ~parent:None ~instant:true name ~start:at
+         ~stop:at)
+
 let spans () = Span_state.spans (st ())
 
-let length () = List.length (st ()).Span_state.completed
+let entries () = Span_state.entries (st ())
+
+let length () = (st ()).Span_state.stored
 
 let unbalanced () = Counters.value c_unbalanced
 
-let pp_span ppf s =
-  Fmt.pf ppf "%*s%s [%d..%d] %d" (2 * s.sp_depth) "" s.sp_name s.sp_start
-    s.sp_stop (s.sp_stop - s.sp_start)
+(* --- Event families ---------------------------------------------------- *)
 
-let dump ppf () =
-  match spans () with
-  | [] -> Fmt.pf ppf "(no spans recorded%s)@."
-      (if on () then "" else "; span recording is disabled")
-  | ss -> List.iter (fun s -> Fmt.pf ppf "%a@." pp_span s) ss
+let families =
+  [ "priv"; "fault"; "call"; "syscall"; "module"; "watchdog"; "desc"; "audit";
+    "span" ]
+
+let family s =
+  match s.sp_name with
+  | "hw.lcall" | "hw.lret" | "hw.int" | "hw.iret" -> "priv"
+  | "hw.fault" -> "fault"
+  | "protected_call" -> "call"
+  | name -> (
+      match String.index_opt name '.' with
+      | Some i when List.mem (String.sub name 0 i) families ->
+          String.sub name 0 i
+      | _ -> "span")
+
+let entry_to_json s =
+  let str (k, v) = (k, Json.String v) in
+  Json.Obj
+    ([
+       ("id", Json.Int s.sp_id);
+       ("at_cycles", Json.Int s.sp_start);
+       str ("kind", family s);
+       str ("name", s.sp_name);
+     ]
+    @ (if s.sp_instant then []
+       else [ ("dur", Json.Int (s.sp_stop - s.sp_start)) ])
+    @ [ ("args", Json.Obj (List.map str s.sp_args)) ])
+
+let pp_entry ppf s =
+  Fmt.pf ppf "[%6d] @%-10d %s" s.sp_id s.sp_start s.sp_name;
+  if not s.sp_instant then Fmt.pf ppf " +%d" (s.sp_stop - s.sp_start);
+  List.iter (fun (k, v) -> Fmt.pf ppf " %s=%s" k v) s.sp_args

@@ -30,8 +30,10 @@ let mutation_counter t action =
 
 let note_mutation t slot action =
   Obs.Counters.incr (mutation_counter t action);
-  if Obs.Trace.on () then
-    Obs.Trace.emit (Obs.Trace.Desc_mutation { table = t.name; slot; action })
+  if Obs.Span.on () then
+    Obs.Span.instant "desc.mutation" ~at:0
+      ~args:
+        [ ("table", t.name); ("slot", string_of_int slot); ("action", action) ]
 
 let gdt ?capacity () = create ?capacity ~name:"gdt" ~is_gdt:true ()
 

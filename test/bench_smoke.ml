@@ -103,7 +103,26 @@ let check name expected =
   pin name expected;
   Printf.printf "bench-smoke %-10s ok\n%!" name
 
+(* A misspelt or removed subcommand stops the harness before anything
+   runs: [bench/main.exe tabel1] exits 2 and writes no artifact. *)
+let check_unknown_arg () =
+  let dir = "bench_unknown_arg" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o755;
+  let status =
+    Sys.command
+      (Printf.sprintf "cd %s && ../../bench/main.exe tabel1 2>/dev/null" dir)
+  in
+  if status <> 2 then fail "bench/main.exe tabel1 exited %d, expected 2" status;
+  if Sys.readdir dir <> [||] then fail "bench/main.exe tabel1 wrote an artifact";
+  (match Bench_runs.unknown_arg [ "parallel"; "--domains"; "2"; "table1" ] with
+  | None -> ()
+  | Some a -> fail "bench rejects the valid argument %S" a);
+  print_endline "bench-smoke unknown-arg ok"
+
 let () =
+  check_unknown_arg ();
   if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   let json_dir = out_dir in
   let total = Bench_runs.table1 ~json_dir () in

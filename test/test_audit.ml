@@ -308,18 +308,13 @@ let test_desc_mutation_counters () =
   check_int "x86.gdt.clear" 1 (delta "x86.gdt.clear")
 
 let test_audit_trace_events () =
-  Obs.Trace.set_capacity 256;
-  Obs.Trace.set_enabled true;
+  Obs.Span.set_capacity 256;
+  Obs.Span.set_enabled true;
   let world = AS.build () in
   Paudit.force_audit ~context:"trace-test" world.AS.kernel |> ignore;
-  Obs.Trace.set_enabled false;
-  let events = Obs.Trace.events () in
-  let has_kind k =
-    List.exists
-      (fun (e : Obs.Trace.entry) ->
-        Obs.Trace.kind_of_event e.Obs.Trace.event = k)
-      events
-  in
+  Obs.Span.set_enabled false;
+  let entries = Obs.Span.entries () in
+  let has_kind k = List.exists (fun e -> Obs.Span.family e = k) entries in
   check_bool "desc mutation events traced" true (has_kind "desc");
   check_bool "audit outcome events traced" true (has_kind "audit")
 

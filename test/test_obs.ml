@@ -1,9 +1,10 @@
-(* Tests for the observability layer: the counter registry, the trace
-   ring buffer, the hand-rolled JSON emitter/parser and the
+(* Tests for the observability layer: the counter registry, the span
+   recorder's bounded ring, the hand-rolled JSON emitter/parser and the
    BENCH_*.json document schema. *)
 
 module C = Obs.Counters
-module T = Obs.Trace
+module S = Obs.Span
+module H = Obs.Histogram
 module J = Obs.Json
 
 let check_int = Alcotest.(check int)
@@ -63,73 +64,101 @@ let test_counters_snapshot_delta () =
   check_bool "unchanged counters absent from delta" true
     (List.for_all (fun (_, v) -> v <> 0) d)
 
-(* --- Trace ring -------------------------------------------------------- *)
+(* --- Span ring ---------------------------------------------------------- *)
+
+let ring_names () = List.map (fun e -> e.S.sp_name) (S.entries ())
+
+let ring_ids () = List.map (fun e -> e.S.sp_id) (S.entries ())
+
+(* Record instants named [first]..[last] with the recorder on. *)
+let instants first last =
+  S.set_enabled true;
+  for i = first to last do
+    S.instant (string_of_int i) ~at:i
+  done;
+  S.set_enabled false
 
 let test_trace_disabled_is_noop () =
-  T.set_enabled false;
-  T.clear ();
-  T.emit (T.Custom "dropped on the floor");
-  check_int "no events while off" 0 (T.length ())
+  S.set_enabled false;
+  S.clear ();
+  S.instant "dropped on the floor" ~at:0;
+  check_int "no entries while off" 0 (S.length ())
 
 let test_trace_ring_overwrite () =
-  T.set_capacity 4;
-  T.set_enabled true;
-  for i = 1 to 6 do
-    T.emit ~cycles:i (T.Custom (string_of_int i))
-  done;
-  T.set_enabled false;
-  check_int "bounded" 4 (T.length ());
-  check_int "two dropped" 2 (T.dropped ());
-  (match T.events () with
-  | { T.event = T.Custom "3"; _ } :: _ -> ()
-  | _ -> Alcotest.fail "oldest surviving event should be 3");
-  let seqs = List.map (fun e -> e.T.seq) (T.events ()) in
-  check_bool "sequence numbers ascend" true
-    (seqs = List.sort compare seqs);
-  T.set_capacity 1024;
-  check_int "growing keeps the buffered events" 4 (T.length ());
-  T.clear ()
+  S.clear ();
+  S.set_capacity 4;
+  instants 1 6;
+  check_int "two dropped" 2 (S.dropped ());
+  check_bool "the newest 4 survive" true (ring_names () = [ "3"; "4"; "5"; "6" ]);
+  check_bool "ids ascend" true (ring_ids () = List.sort compare (ring_ids ()));
+  S.set_capacity 1024;
+  check_int "growing keeps the buffered entries" 4 (S.length ());
+  S.clear ()
 
 let test_trace_set_capacity_preserves () =
-  T.set_capacity 8;
-  T.set_enabled true;
-  for i = 1 to 4 do
-    T.emit ~cycles:i (T.Custom (string_of_int i))
-  done;
-  T.set_enabled false;
-  let before = T.events () in
-  T.set_capacity 2;
-  check_int "shrunk to new capacity" 2 (T.length ());
-  let survivors = T.events () in
+  S.clear ();
+  S.set_capacity 8;
+  instants 1 4;
+  let before = ring_ids () in
+  S.set_capacity 2;
   check_bool "newest entries survive, oldest first" true
-    (List.map (fun e -> e.T.event) survivors
-    = [ T.Custom "3"; T.Custom "4" ]);
-  check_bool "sequence numbers preserved" true
-    (List.map (fun e -> e.T.seq) survivors
-    = List.map (fun e -> e.T.seq) (drop_first 2 before));
-  check_int "entries that no longer fit count as dropped" 2 (T.dropped ());
-  (* the shrunk ring keeps rotating correctly *)
-  T.set_enabled true;
-  T.emit (T.Custom "5");
-  T.set_enabled false;
-  check_int "still bounded" 2 (T.length ());
-  (match List.map (fun e -> e.T.event) (T.events ()) with
-  | [ T.Custom "4"; T.Custom "5" ] -> ()
-  | _ -> Alcotest.fail "ring rotation broken after shrink");
-  T.set_capacity 1024;
-  T.clear ()
+    (ring_names () = [ "3"; "4" ]);
+  check_bool "ids preserved" true (ring_ids () = drop_first 2 before);
+  check_int "entries that no longer fit count as dropped" 2 (S.dropped ());
+  instants 5 5;
+  check_bool "ring rotation after shrink" true (ring_names () = [ "4"; "5" ]);
+  S.set_capacity 1024;
+  S.clear ()
 
 let test_trace_event_rendering () =
-  let s =
-    Fmt.str "%a" T.pp_event
-      (T.Priv_transition { from_ring = 3; to_ring = 0; via = "int" })
+  let span =
+    {
+      S.sp_id = 7;
+      sp_parent = None;
+      sp_name = "hw.int";
+      sp_start = 105;
+      sp_stop = 196;
+      sp_depth = 0;
+      sp_track = 1;
+      sp_args = [ ("from_ring", "3"); ("to_ring", "0") ];
+      sp_instant = false;
+    }
   in
-  check_str "priv transition" "priv r3->r0 via int" s;
-  let s =
-    Fmt.str "%a" T.pp_event
-      (T.Protected_call { fn = "0x1000"; outcome = "ok"; cycles = 144 })
+  let load =
+    { span with sp_name = "module.load"; sp_stop = 105; sp_instant = true }
   in
-  check_str "protected call" "protected call 0x1000 -> ok (144 cycles)" s
+  check_str "span line" "[     7] @105        hw.int +91 from_ring=3 to_ring=0"
+    (Fmt.str "%a" S.pp_entry span);
+  check_str "instant line" "[     7] @105        module.load from_ring=3 to_ring=0"
+    (Fmt.str "%a" S.pp_entry load);
+  check_bool "families" true
+    (List.map S.family [ span; load; { span with sp_name = "Prepare" } ]
+    = [ "priv"; "module"; "span" ]);
+  check_bool "instant json has no dur" true
+    (J.member "dur" (S.entry_to_json load) = None
+    && J.member "kind" (S.entry_to_json load) = Some (J.String "module"))
+
+let test_trace_instants_skip_histograms () =
+  S.clear ();
+  H.reset_all ();
+  S.set_enabled true;
+  S.begin_ "root" ~at:0;
+  S.instant "desc.mutation" ~at:5;
+  S.end_ "root" ~at:10;
+  S.set_enabled false;
+  check_bool "instant parented under the open span" true
+    (match S.spans () with
+    | [ root; i ] -> i.S.sp_instant && i.S.sp_parent = Some root.S.sp_id
+    | _ -> false);
+  check_bool "no histogram for the instant" true (H.find "desc.mutation" = None);
+  check_str "folded stacks leave the instant out" "root 10\n"
+    (Obs.Export.folded (S.spans ()));
+  check_bool "chrome trace shows an instant event" true
+    (match J.member "traceEvents" (Obs.Export.chrome_trace (S.spans ())) with
+    | Some (J.List [ _; i ]) -> J.member "ph" i = Some (J.String "i")
+    | _ -> false);
+  S.clear ();
+  H.reset_all ()
 
 (* --- JSON -------------------------------------------------------------- *)
 
@@ -212,8 +241,6 @@ let prop_json_roundtrip =
       | Error _ -> false)
 
 (* --- Histogram --------------------------------------------------------- *)
-
-module H = Obs.Histogram
 
 let test_histogram_buckets () =
   check_int "0 lands in bucket 0" 0 (H.bucket_of 0);
@@ -310,8 +337,6 @@ let test_histogram_registry_and_json () =
   check_bool "reset_all empties the registry" true (H.all_named () = [])
 
 (* --- Spans ------------------------------------------------------------- *)
-
-module S = Obs.Span
 
 let test_span_nesting () =
   S.clear ();
@@ -517,6 +542,8 @@ let () =
           Alcotest.test_case "set_capacity preserves newest" `Quick
             test_trace_set_capacity_preserves;
           Alcotest.test_case "event rendering" `Quick test_trace_event_rendering;
+          Alcotest.test_case "instants feed no histogram" `Quick
+            test_trace_instants_skip_histograms;
         ] );
       ( "histogram",
         [

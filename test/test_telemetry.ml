@@ -3,7 +3,7 @@
    catch-up, empty intervals, partial-interval flush), the coordinator
    views (merged_series / merged_sink), the HTTP exposition server,
    Prometheus HELP/TYPE/escaping, Counters.pp determinism and the
-   Sink.merge trace policy. *)
+   Sink.merge trace policy (the bounded span ring). *)
 
 module S = Obs.Sink
 module C = Obs.Counters
@@ -346,22 +346,26 @@ let test_counters_pp_deterministic () =
 
 (* --- Sink.merge trace policy ------------------------------------------- *)
 
+(* The destination ring is bounded: merging more entries than it holds
+   keeps the newest, so the last sink merged wins, and every entry lost
+   on the way (in the source or in the merge) counts as dropped. *)
 let test_sink_merge_traces_drop () =
-  let a = S.create () in
-  S.with_sink a (fun () ->
-      Obs.Span.set_enabled true;
-      Obs.Trace.set_enabled true;
-      Obs.Span.begin_ "work" ~at:1;
-      Obs.Span.end_ "work" ~at:2;
-      Obs.Trace.emit ~cycles:3 (Obs.Trace.Custom "hi"));
-  let m = S.create () in
-  S.merge ~traces:`Drop ~into:m a;
-  check_int "spans still absorbed" 1 (List.length (S.spans m));
-  check_int "trace ring dropped" 0 (List.length (S.trace_events m));
-  let m2 = S.create () in
-  S.merge ~into:m2 a;
-  check_int "default policy keeps the last ring" 1
-    (List.length (S.trace_events m2))
+  let sink ~capacity names =
+    let sk = S.create () in
+    S.with_sink sk (fun () ->
+        Obs.Span.set_capacity capacity;
+        Obs.Span.set_enabled true;
+        List.iter (fun n -> Obs.Span.instant n ~at:0) names);
+    sk
+  in
+  let m = sink ~capacity:3 [] in
+  S.merge ~into:m (sink ~capacity:2 [ "a1"; "a2" ]);
+  S.merge ~into:m (sink ~capacity:2 [ "b1"; "b2"; "b3" ]);
+  S.with_sink m (fun () ->
+      check_bool "the last sink's newest entries win" true
+        (List.map (fun e -> e.Obs.Span.sp_name) (Obs.Span.entries ())
+        = [ "a2"; "b2"; "b3" ]);
+      check_int "drops carried and counted" 2 (Obs.Span.dropped ()))
 
 let () =
   Alcotest.run "telemetry"
